@@ -84,31 +84,10 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
-
     def item(self) -> float:
         if self.value.size != 1:
             raise ContractError(f"item() needs a scalar, got shape {self.value.shape}")
         return float(self.value.reshape(()))
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"

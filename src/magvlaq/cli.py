@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import config as config_mod
 from . import magt, retrieval, tokens, training
 from .errors import (
@@ -67,15 +66,19 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
     run_config = config_mod.config_from_mapping(raw_cfg, source=str(path))
     model = PlaceModel(run_config.model_config(), seed=run_config.seed)
     store = model.store
-    try:
-        store.load_values(
-            {name: entry.tensors[f"param.{name}"] for name in store.params}
-        )
-        for name in store.params:
-            store.first_moment[name][...] = entry.tensors[f"adam_m.{name}"]
-            store.second_moment[name][...] = entry.tensors[f"adam_v.{name}"]
-    except KeyError as exc:
-        raise DatasetValidationError(f"{path}: checkpoint missing tensor {exc}") from exc
+    for name, p in store.items():
+        for key in (f"param.{name}", f"adam_m.{name}", f"adam_v.{name}"):
+            if key not in entry.tensors:
+                raise DatasetValidationError(f"{path}: checkpoint missing tensor {key!r}")
+            if entry.tensors[key].shape != p.value.shape:
+                raise DatasetValidationError(
+                    f"{path}: checkpoint tensor {key!r} has shape "
+                    f"{entry.tensors[key].shape}, expected {p.value.shape}"
+                )
+    store.load_values({name: entry.tensors[f"param.{name}"] for name in store.params})
+    for name in store.params:
+        store.first_moment[name][...] = entry.tensors[f"adam_m.{name}"]
+        store.second_moment[name][...] = entry.tensors[f"adam_v.{name}"]
     step = entry.meta.get("step")
     if not isinstance(step, int) or step < 0:
         raise DatasetValidationError(f"{path}: bad optimizer step {step!r}")
@@ -175,24 +178,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not queries:
         raise DatasetValidationError(f"no ground observations in split {args.split!r}")
 
-    with ad.no_grad():
-        db = retrieval.DescriptorDatabase(
-            ids=[ref.id for ref in dataset.aerial],
-            geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
-            vectors=np.stack(
-                retrieval.parallel_map(
-                    lambda ref: model.aerial_descriptor(ref).value[0], dataset.aerial
-                )
-            ),
-        )
-        query_vecs = np.stack(
-            retrieval.parallel_map(
-                lambda obs: model.ground_forward(
-                    obs, mask=args.modality_mask
-                ).descriptor.value[0],
-                queries,
-            )
-        )
+    db = retrieval.DescriptorDatabase(
+        ids=[ref.id for ref in dataset.aerial],
+        geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
+        vectors=model.embed_aerial(dataset.aerial),
+    )
+    query_vecs = model.embed_ground(queries, mask=args.modality_mask)
     query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
     report = retrieval.recall_at_k(query_vecs, query_geos, db, ks=ks, radius=radius)
     line = report.to_json()
@@ -202,7 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.heatmap:
         target = args.query or queries[0].id
-        by_id = {obs.id: obs for obs in dataset.ground}
+        by_id = dataset.ground_by_id()
         if target not in by_id:
             raise DatasetValidationError(f"unknown query id {target!r} for heatmap")
         alpha = model.assignment_heatmap(by_id[target], mask=args.modality_mask)
@@ -215,13 +206,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     run_config, model = load_checkpoint(args.checkpoint)
     dataset = _load_or_generate(args, run_config)
     entries = []
-    with ad.no_grad():
-        ground_vecs = retrieval.parallel_map(
-            lambda obs: model.ground_forward(obs).descriptor.value, dataset.ground
-        )
-        aerial_vecs = retrieval.parallel_map(
-            lambda ref: model.aerial_descriptor(ref).value, dataset.aerial
-        )
+    ground_vecs = model.embed_ground(dataset.ground)
+    aerial_vecs = model.embed_aerial(dataset.aerial)
     for obs, vec in zip(dataset.ground, ground_vecs):
         entries.append(
             magt.ContainerEntry(
@@ -232,7 +218,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                     "geo": [obs.geo[0], obs.geo[1]],
                     "split": obs.split,
                 },
-                tensors={"descriptor": vec},
+                tensors={"descriptor": vec[None, :]},
             )
         )
     for ref, vec in zip(dataset.aerial, aerial_vecs):
@@ -245,7 +231,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                     "geo": [ref.geo[0], ref.geo[1]],
                     "split": "db",
                 },
-                tensors={"descriptor": vec},
+                tensors={"descriptor": vec[None, :]},
             )
         )
     n_bytes = magt.write_container(entries, args.out)

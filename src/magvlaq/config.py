@@ -118,10 +118,6 @@ class RunConfig:
 
 def _check_type(name: str, value, default) -> object:
     """Coerce a JSON value to the field's type or fail loudly."""
-    if isinstance(default, bool):  # no bool fields today, but keep the order
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"config field {name!r} must be a boolean")
-        return value
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"config field {name!r} must be an integer")

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError, DivergenceError
-from .params import Layer
 
 Dynamics = Callable[[ad.Tensor], ad.Tensor]
 
@@ -64,16 +63,6 @@ def rk4_integrate(state: ad.Tensor, dynamics: Dynamics, steps: int,
                 f"non-finite state after integration step {i + 1} of {steps}"
             )
     return y
-
-
-def scale_message(img_pooled: ad.Tensor, lidar_pooled: ad.Tensor,
-                  img_layers: Sequence[Layer], lidar_layers: Sequence[Layer],
-                  activation: str = "tanh") -> ad.Tensor:
-    """Message m = h_img(pooled img) + h_lidar(pooled lidar) for one scale."""
-    return ad.add(
-        ad.mlp_forward(img_pooled, img_layers, activation=activation),
-        ad.mlp_forward(lidar_pooled, lidar_layers, activation=activation),
-    )
 
 
 def fuse(messages: Sequence[ad.Tensor], dynamics: Sequence[Dynamics],

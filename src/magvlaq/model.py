@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, vlaq
+from . import fusion, retrieval, vlaq
 from .errors import ConfigurationError, DimensionError
 from .params import Layer, ParamStore, init_mlp
 from .tokens import AerialReference, GroundObservation
@@ -134,10 +135,7 @@ class PlaceModel:
             )
             self.ln[modality] = (gain, bias)
         self.prototypes = self.store.add(
-            "prototypes",
-            rng.normal(
-                0.0, 1.0 / math.sqrt(c.proj_dim), size=(c.num_queries, c.proj_dim)
-            ).astype(self.dtype),
+            "prototypes", vlaq.init_prototypes(c.vlaq_config(), rng, self.dtype)
         )
         self.agg_proj = linear_weight(
             "agg.proj.w", c.num_queries * c.proj_dim, c.out_dim
@@ -253,53 +251,75 @@ class PlaceModel:
         ]
         return parts[0] if len(parts) == 1 else ad.concat_rows(parts)
 
+    def _select_bank(self, obs: GroundObservation, modalities: tuple[str, ...],
+                     conditioned: bool | None) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """Prototype bank for a ground observation and the shift that made it.
+
+        ``conditioned`` defaults to True only for the ode-vlaq aggregator.
+        Pooling has no bank to shift, and a zero shift strength collapses
+        conditioning to the shared bank exactly, so both skip the branch.
+        """
+        if conditioned is None:
+            conditioned = self.config.aggregator == "ode-vlaq"
+        if (not conditioned or self.config.alpha == 0.0
+                or self.config.aggregator == "pooling"):
+            return self.prototypes, None
+        delta = self.predict_query_shift(self.fusion_embedding(obs, modalities))
+        return self.adapt_prototypes(delta), delta
+
+    def _aggregate(self, tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
+        """Unit descriptor of projected tokens: the mean-pooling head for the
+        pooling aggregator, query-residual aggregation over ``bank`` otherwise."""
+        if self.config.aggregator == "pooling":
+            return ad.l2_normalize(ad.matmul(ad.mean_rows(tokens), self.pool_proj))
+        return vlaq.vlaq_descriptor(tokens, bank, self.agg_proj)
+
     def ground_forward(self, obs: GroundObservation, mask: str = "both",
                        conditioned: bool | None = None) -> GroundForward:
         """Descriptor for a ground observation under an optional sensor mask.
 
-        ``conditioned`` defaults to True only for the ode-vlaq aggregator;
-        auxiliary single-modality descriptors pass False to stay on the
-        shared prototype bank.
+        Auxiliary single-modality descriptors pass ``conditioned=False`` to
+        stay on the shared prototype bank.
         """
         modalities = _mask_modalities(mask)
-        if conditioned is None:
-            conditioned = self.config.aggregator == "ode-vlaq"
-        # A zero shift strength collapses conditioning to the shared bank
-        # exactly, so the whole conditioning branch is skipped.
-        conditioned = conditioned and self.config.alpha != 0.0
         tokens = self._ground_tokens(obs, modalities)
-        if self.config.aggregator == "pooling":
-            pooled = ad.mean_rows(tokens)
-            return GroundForward(ad.l2_normalize(ad.matmul(pooled, self.pool_proj)))
-        delta = None
-        bank = self.prototypes
-        if conditioned:
-            delta = self.predict_query_shift(self.fusion_embedding(obs, modalities))
-            bank = self.adapt_prototypes(delta)
-        descriptor = vlaq.vlaq_descriptor(tokens, bank, self.agg_proj)
-        return GroundForward(descriptor, delta)
+        bank, delta = self._select_bank(obs, modalities, conditioned)
+        return GroundForward(self._aggregate(tokens, bank), delta)
 
     def aerial_descriptor(self, ref: AerialReference) -> ad.Tensor:
         """Descriptor for an aerial reference; never conditioned, so databases
         can be embedded once and reused for every query."""
         tokens = self.project_tokens(ref.token_set.scales[-1], "aerial", ref.id)
-        if self.config.aggregator == "pooling":
-            return ad.l2_normalize(ad.matmul(ad.mean_rows(tokens), self.pool_proj))
-        return vlaq.vlaq_descriptor(tokens, self.prototypes, self.agg_proj)
+        return self._aggregate(tokens, self.prototypes)
 
     def assignment_heatmap(self, obs: GroundObservation, mask: str = "both",
                            conditioned: bool | None = None) -> np.ndarray:
-        """Token-by-query soft-assignment matrix for inspection dumps."""
+        """Token-by-query soft-assignment matrix of the bank ``ground_forward``
+        uses for the same arguments, for inspection dumps."""
         if self.config.aggregator == "pooling":
             raise ConfigurationError("the pooling aggregator has no assignment matrix")
         with ad.no_grad():
             modalities = _mask_modalities(mask)
-            if conditioned is None:
-                conditioned = self.config.aggregator == "ode-vlaq"
-            conditioned = conditioned and self.config.alpha != 0.0
             tokens = self._ground_tokens(obs, modalities)
-            bank = self.prototypes
-            if conditioned and self.config.aggregator == "ode-vlaq":
-                delta = self.predict_query_shift(self.fusion_embedding(obs, modalities))
-                bank = self.adapt_prototypes(delta)
+            bank, _ = self._select_bank(obs, modalities, conditioned)
             return vlaq.assignment_weights(tokens, bank).value.copy()
+
+    # ----- embedding lists ------------------------------------------------
+
+    def _embed(self, forward, items: Sequence) -> np.ndarray:
+        with ad.no_grad():
+            rows = retrieval.parallel_map(lambda item: forward(item).value[0], items)
+        return np.stack(rows) if rows else np.zeros((0, self.config.out_dim), self.dtype)
+
+    def embed_ground(self, observations: Sequence[GroundObservation],
+                     mask: str = "both") -> np.ndarray:
+        """Descriptors of ground observations (N x out_dim, input order), with
+        no tape; observations are embedded through ``retrieval.parallel_map``."""
+        return self._embed(
+            lambda obs: self.ground_forward(obs, mask=mask).descriptor, observations
+        )
+
+    def embed_aerial(self, references: Sequence[AerialReference]) -> np.ndarray:
+        """Descriptors of aerial references (N x out_dim, input order), with
+        no tape; references are embedded through ``retrieval.parallel_map``."""
+        return self._embed(self.aerial_descriptor, references)

@@ -54,9 +54,6 @@ class ParamStore:
         for p in self.params.values():
             p.zero_grad()
 
-    def num_values(self) -> int:
-        return sum(p.value.size for p in self.params.values())
-
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameter values in place; names and shapes must match."""
         missing = set(self.params) - set(values)

@@ -73,9 +73,6 @@ class TokenDataset:
     def ground_by_id(self) -> dict[str, GroundObservation]:
         return {g.id: g for g in self.ground}
 
-    def aerial_by_id(self) -> dict[str, AerialReference]:
-        return {a.id: a for a in self.aerial}
-
     def split_ground(self, split: str) -> list[GroundObservation]:
         return [g for g in self.ground if g.split == split]
 

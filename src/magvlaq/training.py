@@ -269,22 +269,6 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
 
 
-def _descriptor_snapshot(model: PlaceModel, dataset: TokenDataset
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Current descriptors of all train anchors and all references (no tape)."""
-    with ad.no_grad():
-        ground = np.stack(
-            [
-                model.ground_forward(obs).descriptor.value[0]
-                for obs in dataset.split_ground("train")
-            ]
-        )
-        aerial = np.stack(
-            [model.aerial_descriptor(ref).value[0] for ref in dataset.aerial]
-        )
-    return ground, aerial
-
-
 def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSettings,
                 epoch: int, rng: np.random.Generator) -> EpochMetrics:
     """One pass over the train split in shuffled batches, then a test eval.
@@ -303,7 +287,8 @@ def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSetting
 
     hard_ground = hard_aerial = None
     if epoch > 0:
-        hard_ground, hard_aerial = _descriptor_snapshot(model, dataset)
+        hard_ground = model.embed_ground(train_obs)
+        hard_aerial = model.embed_aerial(dataset.aerial)
 
     order = rng.permutation(len(train_obs))
     sums = {"tri": 0.0, "aux": 0.0, "q": 0.0, "total": 0.0}
@@ -383,17 +368,12 @@ def evaluate_recall(model: PlaceModel, dataset: TokenDataset,
     queries = dataset.split_ground(split)
     if not queries or not dataset.aerial:
         return {k: float("nan") for k in settings.eval_ks}
-    with ad.no_grad():
-        db = retrieval.DescriptorDatabase(
-            ids=[ref.id for ref in dataset.aerial],
-            geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
-            vectors=np.stack(
-                [model.aerial_descriptor(ref).value[0] for ref in dataset.aerial]
-            ),
-        )
-        query_vecs = np.stack(
-            [model.ground_forward(obs, mask=mask).descriptor.value[0] for obs in queries]
-        )
+    db = retrieval.DescriptorDatabase(
+        ids=[ref.id for ref in dataset.aerial],
+        geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
+        vectors=model.embed_aerial(dataset.aerial),
+    )
+    query_vecs = model.embed_ground(queries, mask=mask)
     query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
     report = retrieval.recall_at_k(
         query_vecs, query_geos, db, ks=settings.eval_ks, radius=settings.eval_radius

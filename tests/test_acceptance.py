@@ -24,6 +24,7 @@ from magvlaq.config import RunConfig
 from magvlaq.model import ModelConfig, PlaceModel
 from magvlaq.tokens import SynthConfig
 from magvlaq.training import MiningThresholds, TrainSettings
+from oracles import brute_force_vlaq
 
 ARTIFACTS: dict[str, dict] = {}
 VERDICTS: list[str] = []
@@ -73,7 +74,7 @@ def test_aggregation_matches_independent_reference():
             got = vlaq.vlaq_descriptor(
                 ad.Tensor(toks), ad.Tensor(protos), ad.Tensor(proj)
             ).value
-            ref = vlaq.brute_force_vlaq(toks, protos, proj)
+            ref = brute_force_vlaq(toks, protos, proj)
             np.testing.assert_allclose(got, ref, atol=1e-5)
 
 

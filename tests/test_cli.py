@@ -222,6 +222,18 @@ def test_checkpoint_validation_rejects_wrong_container(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["param.prototypes", "adam_m.prototypes",
+                                 "adam_v.prototypes"])
+def test_wrong_shaped_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
+    (entry,) = magt.read_container(trained / "checkpoint.magt")
+    # (1, D) would broadcast into the (S, D) buffer if shapes went unchecked
+    entry.tensors[key] = entry.tensors[key][:1]
+    path = tmp_path / "corrupt.magt"
+    magt.write_container([entry], path)
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 3
+    assert key in capsys.readouterr().err
+
+
 def test_config_defaults_and_json_roundtrip():
     cfg = config.RunConfig()
     cfg.validate()

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from magvlaq import autodiff as ad
-from magvlaq import tokens
+from magvlaq import tokens, vlaq
 from magvlaq.errors import ConfigurationError, DimensionError
-from magvlaq.model import ModelConfig, PlaceModel
+from magvlaq.model import ModelConfig, PlaceModel, _mask_modalities
 
 SYNTH = tokens.SynthConfig(
     num_places=3,
@@ -154,6 +154,27 @@ def test_heatmap_shape_columns_and_pooling_refusal(dataset):
         pool.assignment_heatmap(obs)
 
 
+@pytest.mark.parametrize("aggregator", ["static-vlaq", "ode-vlaq"])
+def test_heatmap_shows_the_bank_ground_forward_uses(dataset, aggregator):
+    m = PlaceModel(dataclasses.replace(MODEL, aggregator=aggregator), seed=5)
+    rng = np.random.default_rng(4)
+    for name, p in m.store.items():
+        if name.startswith(("cond.", "fuse.dyn.")) and name.endswith(".w"):
+            p.value += rng.normal(0.0, 0.5, size=p.value.shape).astype(p.value.dtype)
+    obs = dataset.ground[0]
+    for mask in ("both", "lidar-only"):
+        for conditioned in (None, False, True):
+            with ad.no_grad():
+                fwd = m.ground_forward(obs, mask=mask, conditioned=conditioned)
+                bank = m.prototypes if fwd.delta is None else m.adapt_prototypes(fwd.delta)
+                toks = m._ground_tokens(obs, _mask_modalities(mask))
+                want = vlaq.assignment_weights(toks, bank).value
+            shifted = conditioned or (conditioned is None and aggregator == "ode-vlaq")
+            assert (fwd.delta is not None) == shifted
+            got = m.assignment_heatmap(obs, mask=mask, conditioned=conditioned)
+            np.testing.assert_array_equal(got, want)
+
+
 def test_wrong_raw_dim_names_the_observation(dataset):
     m = PlaceModel(dataclasses.replace(MODEL, raw_dim=99), seed=5)
     obs = dataset.ground[0]
@@ -174,8 +195,6 @@ def test_config_guards():
         dataclasses.replace(MODEL, activation="gelu").validate()
     with pytest.raises(ConfigurationError, match="finite"):
         dataclasses.replace(MODEL, alpha=float("nan")).validate()
-    from magvlaq.model import _mask_modalities
-
     with pytest.raises(ConfigurationError, match="mask"):
         _mask_modalities("thermal-only")
 

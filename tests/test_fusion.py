@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from magvlaq import autodiff as ad
-from magvlaq import fusion
+from magvlaq import fusion, tokens
 from magvlaq.errors import ConfigurationError, DivergenceError
+from magvlaq.model import ModelConfig, PlaceModel
 
 
 def _integrate_exp(steps):
@@ -98,14 +99,30 @@ def test_fuse_checks_lengths_and_config():
                              horizon=1.0)
 
 
-def test_scale_message_sums_modality_networks():
-    rng = np.random.default_rng(3)
-    img = ad.Tensor(rng.standard_normal((1, 4)))
-    lidar = ad.Tensor(rng.standard_normal((1, 4)))
-    layers_i = [(ad.Tensor(rng.standard_normal((4, 3))), ad.Tensor(rng.standard_normal((1, 3))))]
-    layers_l = [(ad.Tensor(rng.standard_normal((4, 3))), ad.Tensor(rng.standard_normal((1, 3))))]
-    out = fusion.scale_message(img, lidar, layers_i, layers_l).value
-    expect = (
-        ad.mlp_forward(img, layers_i).value + ad.mlp_forward(lidar, layers_l).value
+def test_fusion_embedding_at_init_sums_modality_messages():
+    """Dynamics start at zero, so every flow is the identity and the cascade
+    returns the sum of the per-scale messages of the unmasked sensors."""
+    cfg = ModelConfig(
+        raw_dim=12, proj_dim=10, num_queries=4, out_dim=16, fuse_dim=6,
+        num_scales=2, msg_hidden=8, dyn_hidden=8, cond_hidden=8,
     )
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    synth = tokens.SynthConfig(
+        num_places=2, place_spacing=40.0, train_per_place=1, test_per_place=0,
+        num_scales=2, tokens_per_scale=8, token_dim=12, latent_dim=5, noise=0.1,
+    )
+    model = PlaceModel(cfg, seed=3)
+    obs = tokens.generate_synthetic_dataset(synth, 3).ground[0]
+    for modalities in (("image", "lidar"), ("image",), ("lidar",)):
+        with ad.no_grad():
+            got = model.fusion_embedding(obs, modalities).value
+            want = sum(
+                ad.mlp_forward(
+                    ad.mean_rows(model.project_tokens(
+                        getattr(obs, modality).scales[idx], modality
+                    )),
+                    model.msg_layers[modality][idx],
+                ).value.astype(np.float64)
+                for idx in range(cfg.num_scales)
+                for modality in modalities
+            )
+        np.testing.assert_allclose(got, want, atol=1e-6)

@@ -279,19 +279,26 @@ def test_evaluate_recall_reports_nan_without_queries(tiny_dataset):
     assert all(math.isnan(v) for v in rec.values())
 
 
-def test_descriptor_snapshot_matches_individual_forwards(tiny_dataset):
+def test_embed_lists_match_individual_forwards(tiny_dataset):
     m = PlaceModel(MODEL, seed=3)
-    ground, aerial = training._descriptor_snapshot(m, tiny_dataset)
     train_obs = tiny_dataset.split_ground("train")
-    assert ground.shape == (len(train_obs), MODEL.out_dim)
-    assert aerial.shape == (len(tiny_dataset.aerial), MODEL.out_dim)
+    refs = tiny_dataset.aerial
     with ad.no_grad():
-        for row, obs in zip(ground, train_obs):
-            np.testing.assert_array_equal(
-                row, m.ground_forward(obs).descriptor.value[0]
-            )
-        for row, ref in zip(aerial, tiny_dataset.aerial):
-            np.testing.assert_array_equal(row, m.aerial_descriptor(ref).value[0])
+        for obs_list, mask in ((train_obs, "both"), (train_obs, "lidar-only"),
+                               (train_obs[:1], "both")):
+            rows = m.embed_ground(obs_list, mask=mask)
+            assert rows.shape == (len(obs_list), MODEL.out_dim)
+            for row, obs in zip(rows, obs_list):
+                np.testing.assert_array_equal(
+                    row, m.ground_forward(obs, mask=mask).descriptor.value[0]
+                )
+        for ref_list in (refs, refs[:1]):
+            rows = m.embed_aerial(ref_list)
+            assert rows.shape == (len(ref_list), MODEL.out_dim)
+            for row, ref in zip(rows, ref_list):
+                np.testing.assert_array_equal(row, m.aerial_descriptor(ref).value[0])
+    assert m.embed_ground([]).shape == (0, MODEL.out_dim)
+
 
 
 def test_batch_loss_components_are_finite_and_weighted(tiny_dataset):
