@@ -49,6 +49,7 @@ class Tensor:
     """
 
     __slots__ = ("value", "_grad", "_parents", "_backward")
+    is_constant = False
 
     def __init__(self, value, parents=(), backward=None):
         arr = np.asarray(value)
@@ -93,6 +94,22 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"
 
 
+class _Constant(Tensor):
+    """A leaf whose gradient is never computed or stored."""
+
+    __slots__ = ()
+    is_constant = True
+
+    def accumulate_grad(self, g) -> None:
+        pass
+
+
+def constant(value) -> Tensor:
+    """Wrap an array as a leaf that no backward pass differentiates, such
+    as raw input tokens; ops skip the gradient work for such operands."""
+    return _Constant(value)
+
+
 def as_tensor(x, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -118,8 +135,10 @@ def add(a, b) -> Tensor:
 
     def bw(out):
         g = out.grad
-        a.accumulate_grad(_unbroadcast(g, a.value.shape))
-        b.accumulate_grad(_unbroadcast(g, b.value.shape))
+        if not a.is_constant:
+            a.accumulate_grad(_unbroadcast(g, a.value.shape))
+        if not b.is_constant:
+            b.accumulate_grad(_unbroadcast(g, b.value.shape))
 
     return Tensor(out_value, (a, b), bw)
 
@@ -130,8 +149,10 @@ def sub(a, b) -> Tensor:
 
     def bw(out):
         g = out.grad
-        a.accumulate_grad(_unbroadcast(g, a.value.shape))
-        b.accumulate_grad(-_unbroadcast(g, b.value.shape))
+        if not a.is_constant:
+            a.accumulate_grad(_unbroadcast(g, a.value.shape))
+        if not b.is_constant:
+            b.accumulate_grad(-_unbroadcast(g, b.value.shape))
 
     return Tensor(out_value, (a, b), bw)
 
@@ -142,8 +163,10 @@ def mul(a, b) -> Tensor:
 
     def bw(out):
         g = out.grad
-        a.accumulate_grad(_unbroadcast(g * b.value, a.value.shape))
-        b.accumulate_grad(_unbroadcast(g * a.value, b.value.shape))
+        if not a.is_constant:
+            a.accumulate_grad(_unbroadcast(g * b.value, a.value.shape))
+        if not b.is_constant:
+            b.accumulate_grad(_unbroadcast(g * a.value, b.value.shape))
 
     return Tensor(out_value, (a, b), bw)
 
@@ -173,8 +196,10 @@ def matmul(a, b) -> Tensor:
 
     def bw(out):
         g = out.grad
-        a.accumulate_grad(g @ b.value.T)
-        b.accumulate_grad(a.value.T @ g)
+        if not a.is_constant:
+            a.accumulate_grad(g @ b.value.T)
+        if not b.is_constant:
+            b.accumulate_grad(a.value.T @ g)
 
     return Tensor(out_value, (a, b), bw)
 
@@ -202,10 +227,12 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat_rows(parts: Sequence) -> Tensor:
-    """Stack 2-D blocks along the row axis."""
+    """Stack 2-D blocks along the row axis; a single block is returned as is."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_rows needs at least one block")
+    if len(parts) == 1:
+        return parts[0]
     out_value = np.concatenate([p.value for p in parts], axis=0)
     sizes = [p.value.shape[0] for p in parts]
 
@@ -217,6 +244,25 @@ def concat_rows(parts: Sequence) -> Tensor:
             start += n
 
     return Tensor(out_value, tuple(parts), bw)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of a 2-D matrix; the gradient flows back into them."""
+    a = as_tensor(a)
+    if a.value.ndim != 2 or not 0 <= start < stop <= a.value.shape[0]:
+        raise DimensionError(
+            f"cannot take rows {start}:{stop} of a matrix of shape {a.value.shape}"
+        )
+    out_value = a.value[start:stop]
+
+    def bw(out):
+        if a.is_constant:
+            return
+        if a._grad is None:
+            a._grad = np.zeros_like(a.value)
+        a._grad[start:stop] += out.grad
+
+    return Tensor(out_value, (a,), bw)
 
 
 def sum_all(a) -> Tensor:
@@ -346,30 +392,28 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def l2_normalize(x) -> Tensor:
-    """Normalize the whole array to unit Euclidean norm; rejects near-zero input."""
-    x = as_tensor(x)
-    norm = float(np.sqrt(np.sum(x.value.astype(np.float64) ** 2)))
-    if norm <= 1e-12:
-        raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
-    out64 = x.value.astype(np.float64) / norm
-    out_value = out64.astype(x.value.dtype)
-
-    def bw(out):
-        g = out.grad.astype(np.float64)
-        proj = np.sum(out64 * g)
-        x.accumulate_grad((g - out64 * proj) / norm)
-
-    return Tensor(out_value, (x,), bw)
+    """Normalize each row of a 2-D matrix to unit Euclidean norm; a row with
+    norm at most 1e-12 raises DegenerateInputError naming the row."""
+    return _normalize_rows(x, strict=True)
 
 
 def l2_normalize_rows(x) -> Tensor:
     """Normalize each row to unit norm; rows with norm below 1e-12 pass through as zeros."""
+    return _normalize_rows(x, strict=False)
+
+
+def _normalize_rows(x, strict: bool) -> Tensor:
     x = as_tensor(x)
     if x.value.ndim != 2:
-        raise DimensionError(f"l2_normalize_rows needs a 2-D input, got {x.value.shape}")
+        raise DimensionError(f"row normalization needs a 2-D input, got {x.value.shape}")
     x64 = x.value.astype(np.float64)
     norms = np.sqrt((x64**2).sum(axis=1, keepdims=True))
     live = norms > 1e-12
+    if strict and not live.all():
+        row = int(np.flatnonzero(~live)[0])
+        raise DegenerateInputError(
+            f"cannot normalize row {row} with norm {float(norms[row, 0]):.3e}"
+        )
     safe = np.where(live, norms, 1.0)
     out64 = np.where(live, x64 / safe, 0.0)
     out_value = out64.astype(x.value.dtype)
@@ -380,6 +424,33 @@ def l2_normalize_rows(x) -> Tensor:
         x.accumulate_grad(np.where(live, (g - out64 * proj) / safe, 0.0))
 
     return Tensor(out_value, (x,), bw)
+
+
+def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
+    """Euclidean distances between the rows of a (n x d) and b (m x d).
+
+    Entry (i, j) is sqrt(sum_k (a[i, k] - b[j, k])^2 + eps), taken from the
+    explicit differences and summed in float64; ``eps`` keeps the gradient
+    finite where two rows coincide.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+        raise DimensionError(
+            f"pairwise_distance needs n x d and m x d rows, got {a.value.shape} "
+            f"and {b.value.shape}"
+        )
+    diff = a.value.astype(np.float64)[:, None, :] - b.value.astype(np.float64)[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + eps)
+    out_value = dist.astype(a.value.dtype)
+
+    def bw(out):
+        w = out.grad.astype(np.float64) / dist
+        if not a.is_constant:
+            a.accumulate_grad(np.einsum("ij,ijk->ik", w, diff))
+        if not b.is_constant:
+            b.accumulate_grad(-np.einsum("ij,ijk->jk", w, diff))
+
+    return Tensor(out_value, (a, b), bw)
 
 
 def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:

@@ -75,6 +75,10 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
                     f"{path}: checkpoint tensor {key!r} has shape "
                     f"{entry.tensors[key].shape}, expected {p.value.shape}"
                 )
+            if not np.isfinite(entry.tensors[key]).all():
+                raise DatasetValidationError(
+                    f"{path}: checkpoint tensor {key!r} has a non-finite value"
+                )
     store.load_values({name: entry.tensors[f"param.{name}"] for name in store.params})
     for name in store.params:
         store.first_moment[name][...] = entry.tensors[f"adam_m.{name}"]

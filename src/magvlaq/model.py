@@ -189,7 +189,7 @@ class PlaceModel:
         additionally layer-normalized per token, aerial tokens are not."""
         self._check_tokens(tokens, owner)
         projected = ad.matmul(
-            ad.as_tensor(np.asarray(tokens, dtype=self.dtype)), self.proj[modality]
+            ad.constant(np.asarray(tokens, dtype=self.dtype)), self.proj[modality]
         )
         if modality == "aerial":
             return projected
@@ -206,18 +206,19 @@ class PlaceModel:
 
     # ----- fusion + conditioning -----------------------------------------
 
-    def fusion_embedding(self, obs: GroundObservation,
+    def fusion_embedding(self, ground: GroundObservation | GroundBatch,
                          modalities: tuple[str, ...] = ("image", "lidar")) -> ad.Tensor:
-        """Run the cascade over all scales of the unmasked modalities."""
+        """Run the cascade over all scales of the unmasked modalities, one
+        row per observation of a batch (or one row for an observation)."""
+        batch = ground if isinstance(ground, GroundBatch) else GroundBatch(self, [ground])
         messages = []
         for idx in range(self.config.num_scales):
             terms = []
             for modality in modalities:
-                tokens = self._ground_scales(obs, modality)[idx]
-                pooled = ad.mean_rows(self.project_tokens(tokens, modality, obs.id))
+                pooled = [ad.mean_rows(t) for t in batch.scale_tokens(modality, idx)]
                 terms.append(
                     ad.mlp_forward(
-                        pooled,
+                        ad.concat_rows(pooled),
                         self.msg_layers[modality][idx],
                         activation=self.config.activation,
                     )
@@ -232,11 +233,12 @@ class PlaceModel:
         return fusion.fuse(messages, dynamics, self.config.fusion_config())
 
     def predict_query_shift(self, embedding: ad.Tensor) -> ad.Tensor:
-        """Map a fusion embedding to an S x D additive prototype shift."""
+        """Map fusion embeddings (one row per observation) to additive
+        prototype shifts stacked by rows: S x D per observation."""
         flat = ad.mlp_forward(
             embedding, self.cond_layers, activation=self.config.activation
         )
-        return ad.reshape(flat, (self.config.num_queries, self.config.proj_dim))
+        return ad.reshape(flat, (-1, self.config.proj_dim))
 
     def adapt_prototypes(self, delta: ad.Tensor) -> ad.Tensor:
         return ad.add(self.prototypes, ad.scale(delta, self.config.alpha))
@@ -245,34 +247,55 @@ class PlaceModel:
 
     def _ground_tokens(self, obs: GroundObservation,
                        modalities: tuple[str, ...]) -> ad.Tensor:
-        parts = [
-            self.project_tokens(self._ground_scales(obs, m)[-1], m, obs.id)
-            for m in modalities
-        ]
-        return parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+        return GroundBatch(self, [obs]).tokens(modalities)[0]
 
-    def _select_bank(self, obs: GroundObservation, modalities: tuple[str, ...],
-                     conditioned: bool | None) -> tuple[ad.Tensor, ad.Tensor | None]:
-        """Prototype bank for a ground observation and the shift that made it.
+    def _banks(self, batch: GroundBatch, modalities: tuple[str, ...],
+               conditioned: bool | None) -> tuple[list[ad.Tensor], list[ad.Tensor | None]]:
+        """Prototype bank per observation of a batch and the shift that made it.
 
         ``conditioned`` defaults to True only for the ode-vlaq aggregator.
         Pooling has no bank to shift, and a zero shift strength collapses
         conditioning to the shared bank exactly, so both skip the branch.
         """
+        n = len(batch.observations)
         if conditioned is None:
             conditioned = self.config.aggregator == "ode-vlaq"
         if (not conditioned or self.config.alpha == 0.0
                 or self.config.aggregator == "pooling"):
-            return self.prototypes, None
-        delta = self.predict_query_shift(self.fusion_embedding(obs, modalities))
-        return self.adapt_prototypes(delta), delta
+            return [self.prototypes] * n, [None] * n
+        shifts = self.predict_query_shift(self.fusion_embedding(batch, modalities))
+        s = self.config.num_queries
+        deltas = [ad.slice_rows(shifts, i * s, (i + 1) * s) for i in range(n)]
+        return [self.adapt_prototypes(d) for d in deltas], deltas
 
-    def _aggregate(self, tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
-        """Unit descriptor of projected tokens: the mean-pooling head for the
-        pooling aggregator, query-residual aggregation over ``bank`` otherwise."""
+    def _pre_head(self, tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
+        """One pre-head row of projected tokens: their mean for the pooling
+        aggregator, their residual features over ``bank`` otherwise."""
         if self.config.aggregator == "pooling":
-            return ad.l2_normalize(ad.matmul(ad.mean_rows(tokens), self.pool_proj))
-        return vlaq.vlaq_descriptor(tokens, bank, self.agg_proj)
+            return ad.mean_rows(tokens)
+        return vlaq.residual_features(tokens, bank)
+
+    def head(self, rows: Sequence[ad.Tensor]) -> ad.Tensor:
+        """Unit descriptors of pre-head rows, one per row: every row goes
+        through one projection matmul and one row-wise L2 norm, which raises
+        DegenerateInputError on a row that projects to zero."""
+        proj = self.pool_proj if self.config.aggregator == "pooling" else self.agg_proj
+        return ad.l2_normalize(ad.matmul(ad.concat_rows(rows), proj))
+
+    def ground_rows(self, batch: GroundBatch, mask: str = "both",
+                    conditioned: bool | None = None
+                    ) -> tuple[list[ad.Tensor], list[ad.Tensor | None]]:
+        """Pre-head rows of a batch under a sensor mask, and each row's
+        prototype shift (None where the bank is unshifted)."""
+        modalities = _mask_modalities(mask)
+        banks, deltas = self._banks(batch, modalities, conditioned)
+        rows = [self._pre_head(t, bank) for t, bank in zip(batch.tokens(modalities), banks)]
+        return rows, deltas
+
+    def aerial_row(self, ref: AerialReference) -> ad.Tensor:
+        """Pre-head row of an aerial reference, always over the shared bank."""
+        tokens = self.project_tokens(ref.token_set.scales[-1], "aerial", ref.id)
+        return self._pre_head(tokens, self.prototypes)
 
     def ground_forward(self, obs: GroundObservation, mask: str = "both",
                        conditioned: bool | None = None) -> GroundForward:
@@ -281,16 +304,13 @@ class PlaceModel:
         Auxiliary single-modality descriptors pass ``conditioned=False`` to
         stay on the shared prototype bank.
         """
-        modalities = _mask_modalities(mask)
-        tokens = self._ground_tokens(obs, modalities)
-        bank, delta = self._select_bank(obs, modalities, conditioned)
-        return GroundForward(self._aggregate(tokens, bank), delta)
+        rows, deltas = self.ground_rows(GroundBatch(self, [obs]), mask, conditioned)
+        return GroundForward(self.head(rows), deltas[0])
 
     def aerial_descriptor(self, ref: AerialReference) -> ad.Tensor:
         """Descriptor for an aerial reference; never conditioned, so databases
         can be embedded once and reused for every query."""
-        tokens = self.project_tokens(ref.token_set.scales[-1], "aerial", ref.id)
-        return self._aggregate(tokens, self.prototypes)
+        return self.head([self.aerial_row(ref)])
 
     def assignment_heatmap(self, obs: GroundObservation, mask: str = "both",
                            conditioned: bool | None = None) -> np.ndarray:
@@ -300,9 +320,10 @@ class PlaceModel:
             raise ConfigurationError("the pooling aggregator has no assignment matrix")
         with ad.no_grad():
             modalities = _mask_modalities(mask)
-            tokens = self._ground_tokens(obs, modalities)
-            bank, _ = self._select_bank(obs, modalities, conditioned)
-            return vlaq.assignment_weights(tokens, bank).value.copy()
+            batch = GroundBatch(self, [obs])
+            banks, _ = self._banks(batch, modalities, conditioned)
+            tokens = batch.tokens(modalities)[0]
+            return vlaq.assignment_weights(tokens, banks[0]).value.copy()
 
     # ----- embedding lists ------------------------------------------------
 
@@ -323,3 +344,36 @@ class PlaceModel:
         """Descriptors of aerial references (N x out_dim, input order), with
         no tape; references are embedded through ``retrieval.parallel_map``."""
         return self._embed(self.aerial_descriptor, references)
+
+
+class GroundBatch:
+    """Ground observations whose token matrices are projected on first use.
+
+    Each (observation, modality, scale) matrix is projected once and then
+    shared by the fusion cascade and every sensor view of the batch.
+    """
+
+    def __init__(self, model: PlaceModel,
+                 observations: Sequence[GroundObservation]) -> None:
+        self.model = model
+        self.observations = list(observations)
+        self._projected: dict[tuple[str, int], list[ad.Tensor]] = {}
+
+    def scale_tokens(self, modality: str, idx: int) -> list[ad.Tensor]:
+        """Projected tokens of one modality at one scale, per observation."""
+        key = (modality, idx)
+        if key not in self._projected:
+            model = self.model
+            self._projected[key] = [
+                model.project_tokens(model._ground_scales(obs, modality)[idx],
+                                     modality, obs.id)
+                for obs in self.observations
+            ]
+        return self._projected[key]
+
+    def tokens(self, modalities: tuple[str, ...]) -> list[ad.Tensor]:
+        """Aggregation input per observation: the last scale of each
+        unmasked modality, stacked by rows."""
+        last = self.model.config.num_scales - 1
+        per_modality = [self.scale_tokens(m, last) for m in modalities]
+        return [ad.concat_rows(parts) for parts in zip(*per_modality)]

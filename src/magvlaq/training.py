@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import retrieval
 from .errors import ConfigurationError, ContractError, DivergenceError
-from .model import PlaceModel
+from .model import GroundBatch, PlaceModel
 from .params import ParamStore
 from .tokens import TokenDataset
 
@@ -91,80 +92,74 @@ def mine_pairs(anchor_geo: tuple[float, float],
     Both comparisons are strict; references inside [tau_p, tau_n] land in
     neither list and never contribute supervision.
     """
+    near, far = geo_zones([anchor_geo], reference_geos, thresholds)
+    return np.flatnonzero(near[0]).tolist(), np.flatnonzero(far[0]).tolist()
+
+
+def geo_zones(ground_geos: Sequence[tuple[float, float]],
+              reference_geos: Sequence[tuple[float, float]],
+              thresholds: MiningThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean ground x reference masks of the positive (< tau_p) and
+    negative (> tau_n) zones; both comparisons are strict."""
     thresholds.validate()
-    positives: list[int] = []
-    negatives: list[int] = []
-    for idx, geo in enumerate(reference_geos):
-        d = math.hypot(anchor_geo[0] - geo[0], anchor_geo[1] - geo[1])
-        if d < thresholds.tau_p:
-            positives.append(idx)
-        elif d > thresholds.tau_n:
-            negatives.append(idx)
-    return positives, negatives
+    d = np.array(
+        [[math.hypot(gx - rx, gy - ry) for rx, ry in reference_geos]
+         for gx, gy in ground_geos],
+        dtype=np.float64,
+    ).reshape(len(ground_geos), len(reference_geos))
+    return d < thresholds.tau_p, d > thresholds.tau_n
 
 
-def _const(value: float, like: ad.Tensor) -> ad.Tensor:
-    return ad.as_tensor(np.array([[value]], dtype=like.value.dtype))
+def triplet_loss(distances: ad.Tensor, positives: Sequence[int],
+                 negatives: Sequence[int], margin: float) -> ad.Tensor:
+    """Mean hinge on (margin + d_pos - d_neg) over anchors.
 
-
-def pair_distance(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """Differentiable Euclidean distance between two descriptor rows."""
-    diff = ad.sub(a, b)
-    return ad.sqrt(ad.sum_all(ad.mul(diff, diff)), eps=1e-12)
-
-
-def _mean(terms: list[ad.Tensor]) -> ad.Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
-
-
-def triplet_loss(anchors: list[ad.Tensor], positives: list[ad.Tensor],
-                 negatives: list[ad.Tensor], margin: float) -> ad.Tensor:
-    """Mean hinge on (margin + d_pos - d_neg) over aligned triplets."""
-    if not (len(anchors) == len(positives) == len(negatives)):
+    ``distances`` is anchors x references; row i's positive and negative are
+    the columns ``positives[i]`` and ``negatives[i]``.
+    """
+    rows = distances.value.shape[0]
+    if not (rows == len(positives) == len(negatives)):
         raise ContractError(
-            f"triplet lists must align, got {len(anchors)}/{len(positives)}/{len(negatives)}"
+            f"triplet rows must align, got {rows}/{len(positives)}/{len(negatives)}"
         )
-    if not anchors:
+    if rows == 0:
         raise ContractError("triplet loss needs at least one triplet")
-    terms = []
-    for a, p, n in zip(anchors, positives, negatives):
-        gap = ad.add(ad.sub(pair_distance(a, p), pair_distance(a, n)), _const(margin, a))
-        terms.append(ad.relu(gap))
-    return _mean(terms)
+    dtype = distances.value.dtype
+    sign = np.zeros(distances.value.shape, dtype=dtype)
+    sign[np.arange(rows), positives] = 1.0
+    sign[np.arange(rows), negatives] = -1.0
+    ones = ad.constant(np.ones((sign.shape[1], 1), dtype=dtype))
+    gap = ad.matmul(ad.mul(distances, ad.constant(sign)), ones)
+    hinge = ad.relu(ad.add(gap, ad.constant(np.full((1, 1), margin, dtype=dtype))))
+    return ad.mean_rows(hinge)
 
 
-def aux_consistency_loss(domain_descriptors: dict[str, list[ad.Tensor]],
-                         anchor_geos: list[tuple[float, float]],
-                         aerial_descriptors: list[ad.Tensor],
-                         aerial_geos: list[tuple[float, float]],
+def aux_consistency_loss(distances: ad.Tensor,
+                         ground_geos: Sequence[tuple[float, float]],
+                         reference_geos: Sequence[tuple[float, float]],
                          thresholds: MiningThresholds,
                          margin: float) -> ad.Tensor:
     """Cross-domain contrastive consistency against in-batch references.
 
-    Every (ground domain, anchor, reference) pair contributes a hinge pulling
-    geo-close pairs under the margin and pushing geo-far pairs past twice the
-    margin; band pairs contribute nothing. Returns zero if no pair lands in
-    either zone.
+    ``distances`` is ground descriptors (of every domain) x references. Every
+    pair contributes a hinge pulling geo-close pairs under the margin and
+    pushing geo-far pairs past twice the margin; band pairs contribute
+    nothing. Returns zero if no pair lands in either zone.
     """
-    terms: list[ad.Tensor] = []
-    for descs in domain_descriptors.values():
-        if len(descs) != len(anchor_geos):
-            raise ContractError("one descriptor per anchor required in every domain")
-        for a_desc, a_geo in zip(descs, anchor_geos):
-            for r_desc, r_geo in zip(aerial_descriptors, aerial_geos):
-                d_geo = math.hypot(a_geo[0] - r_geo[0], a_geo[1] - r_geo[1])
-                if d_geo < thresholds.tau_p:
-                    dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(ad.sub(dist, _const(margin, dist))))
-                elif d_geo > thresholds.tau_n:
-                    dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(ad.sub(_const(2.0 * margin, dist), dist)))
-    if not terms:
+    if distances.value.shape != (len(ground_geos), len(reference_geos)):
+        raise ContractError(
+            f"distance matrix {distances.value.shape} does not match "
+            f"{len(ground_geos)} ground and {len(reference_geos)} reference geos"
+        )
+    near, far = geo_zones(ground_geos, reference_geos, thresholds)
+    count = int(near.sum() + far.sum())
+    if count == 0:
         return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
-    return _mean(terms)
+    dtype = distances.value.dtype
+    sign = (near.astype(dtype) - far.astype(dtype))
+    offset = (np.where(near, -margin, 0.0) + np.where(far, 2.0 * margin, 0.0)).astype(dtype)
+    hinge = ad.relu(ad.add(ad.mul(distances, ad.constant(sign)), ad.constant(offset)))
+    return ad.scale(ad.sum_all(hinge), 1.0 / count)
 
 
 def query_shift_regularizer(deltas: list[ad.Tensor | None]) -> ad.Tensor:
@@ -211,12 +206,22 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
         g = p.grad
         m = store.first_moment[name]
         v = store.second_moment[name]
+        a = np.empty_like(m)
+        b = np.empty_like(m)
+        np.multiply(g, 1.0 - beta1, out=a)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += a
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / correct1) / (np.sqrt(v / correct2) + eps)
-        p.value -= lr * update.astype(p.value.dtype)
+        v += a
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, correct1, out=b)
+        b /= a
+        b *= lr
+        p.value -= b
     store.zero_grads()
 
 
@@ -227,45 +232,40 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     ``anchors`` are ground observations; ``positives``/``negatives`` are the
     aerial references mined for them, aligned by position. The union of the
     mined references also serves as the in-batch set for the consistency
-    loss.
+    loss. The fused, image-only and lidar-only rows of every anchor and the
+    rows of every reference go through one projection head, and both losses
+    read one ground x reference distance matrix.
     """
-    ref_pairs: list[tuple[str, object]] = []
-    seen: set[str] = set()
-    for ref in [*positives, *negatives]:
-        if ref.id not in seen:
-            seen.add(ref.id)
-            ref_pairs.append((ref.id, ref))
-    ref_pairs.sort(key=lambda pair: pair[0])
-    ref_descs = {rid: model.aerial_descriptor(ref) for rid, ref in ref_pairs}
+    refs = sorted({ref.id: ref for ref in [*positives, *negatives]}.items())
+    column = {rid: j for j, (rid, _) in enumerate(refs)}
 
-    fused = [model.ground_forward(obs) for obs in anchors]
-    domain_descriptors = {
-        "fused": [f.descriptor for f in fused],
-        "image": [
-            model.ground_forward(obs, mask="image-only", conditioned=False).descriptor
-            for obs in anchors
-        ],
-        "lidar": [
-            model.ground_forward(obs, mask="lidar-only", conditioned=False).descriptor
-            for obs in anchors
-        ],
-    }
+    batch = GroundBatch(model, anchors)
+    fused, deltas = model.ground_rows(batch)
+    image, _ = model.ground_rows(batch, mask="image-only", conditioned=False)
+    lidar, _ = model.ground_rows(batch, mask="lidar-only", conditioned=False)
+    ground_count = 3 * len(anchors)
+    descriptors = model.head(
+        [*fused, *image, *lidar, *(model.aerial_row(ref) for _, ref in refs)]
+    )
+    distances = ad.pairwise_distance(
+        ad.slice_rows(descriptors, 0, ground_count),
+        ad.slice_rows(descriptors, ground_count, ground_count + len(refs)),
+    )
 
     l_tri = triplet_loss(
-        domain_descriptors["fused"],
-        [ref_descs[ref.id] for ref in positives],
-        [ref_descs[ref.id] for ref in negatives],
+        ad.slice_rows(distances, 0, len(anchors)),
+        [column[ref.id] for ref in positives],
+        [column[ref.id] for ref in negatives],
         settings.margin,
     )
     l_aux = aux_consistency_loss(
-        domain_descriptors,
-        [obs.geo for obs in anchors],
-        [ref_descs[rid] for rid, _ in ref_pairs],
-        [ref.geo for _, ref in ref_pairs],
+        distances,
+        [obs.geo for obs in anchors] * 3,
+        [ref.geo for _, ref in refs],
         settings.thresholds,
         settings.margin,
     )
-    l_q = query_shift_regularizer([f.delta for f in fused])
+    l_q = query_shift_regularizer(deltas)
     return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
 
 

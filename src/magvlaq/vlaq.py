@@ -61,26 +61,34 @@ def residual_aggregate(tokens: ad.Tensor, prototypes: ad.Tensor,
     """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query."""
     n = tokens.value.shape[0]
     weighted = ad.matmul(ad.transpose(alpha), tokens)
-    ones = ad.as_tensor(np.ones((1, n), dtype=tokens.value.dtype))
+    ones = ad.constant(np.ones((1, n), dtype=tokens.value.dtype))
     col_mass = ad.transpose(ad.matmul(ones, alpha))
     return ad.sub(weighted, ad.mul(prototypes, col_mass))
+
+
+def residual_features(tokens: ad.Tensor, prototypes: ad.Tensor) -> ad.Tensor:
+    """Pre-head row of one token set: tokens (N x D) -> 1 x (S*D).
+
+    Steps: soft assignment, residual aggregation, per-query intra-norm,
+    row-major flatten. Rows of many token sets share one projection head.
+    """
+    s, d = prototypes.value.shape
+    alpha = assignment_weights(tokens, prototypes)
+    residuals = residual_aggregate(tokens, prototypes, alpha)
+    return ad.reshape(ad.l2_normalize_rows(residuals), (1, s * d))
 
 
 def vlaq_descriptor(tokens: ad.Tensor, prototypes: ad.Tensor,
                     proj_w: ad.Tensor) -> ad.Tensor:
     """Full aggregation: tokens (N x D) -> unit descriptor (1 x out_dim).
 
-    Steps: soft assignment, residual aggregation, per-query intra-norm,
-    row-major flatten to 1 x (S*D), bias-free projection, global L2 norm.
-    Raises DegenerateInputError if the projected descriptor is all zeros.
+    The residual features of the tokens, then a bias-free projection and a
+    global L2 norm. Raises DegenerateInputError if the projected descriptor
+    is all zeros.
     """
     s, d = prototypes.value.shape
     if proj_w.value.shape[0] != s * d:
         raise DimensionError(
             f"projection expects {s * d} inputs, got {proj_w.value.shape[0]}"
         )
-    alpha = assignment_weights(tokens, prototypes)
-    residuals = residual_aggregate(tokens, prototypes, alpha)
-    intra = ad.l2_normalize_rows(residuals)
-    flat = ad.reshape(intra, (1, s * d))
-    return ad.l2_normalize(ad.matmul(flat, proj_w))
+    return ad.l2_normalize(ad.matmul(residual_features(tokens, prototypes), proj_w))

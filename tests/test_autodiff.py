@@ -116,6 +116,49 @@ def test_reshape_transpose_concat_gradients():
     assert flat.value.shape == (3, 4)
 
 
+def test_slice_rows_value_gradient_and_bounds():
+    rng = np.random.default_rng(4)
+    a = ad.Tensor(_rand(rng, 5, 3))
+    w = _rand(rng, 2, 3)
+    np.testing.assert_array_equal(ad.slice_rows(a, 1, 3).value, a.value[1:3])
+    _fd_check(lambda: ad.sum_all(ad.mul(ad.slice_rows(a, 1, 3), ad.Tensor(w))), [a])
+    assert not a.grad[[0, 3, 4]].any()
+    with pytest.raises(DimensionError):
+        ad.slice_rows(a, 3, 6)
+    with pytest.raises(DimensionError):
+        ad.slice_rows(a, 2, 2)
+
+
+def test_pairwise_distance_matches_numpy_and_finite_differences():
+    rng = np.random.default_rng(12)
+    a = ad.Tensor(_rand(rng, 4, 3))
+    b = ad.Tensor(_rand(rng, 2, 3))
+    expect = np.sqrt(
+        ((a.value[:, None, :] - b.value[None, :, :]) ** 2).sum(axis=2) + 1e-12
+    )
+    np.testing.assert_allclose(ad.pairwise_distance(a, b).value, expect, rtol=1e-12)
+    w = _rand(rng, 4, 2)
+    _fd_check(lambda: ad.sum_all(ad.mul(ad.pairwise_distance(a, b), ad.Tensor(w))), [a, b])
+    with pytest.raises(DimensionError):
+        ad.pairwise_distance(a, ad.Tensor(np.ones((2, 4))))
+
+
+def test_constant_leaves_hold_no_gradient_and_change_no_other():
+    rng = np.random.default_rng(13)
+    x, y = _rand(rng, 3, 4), _rand(rng, 3, 4)
+    w = _rand(rng, 4, 2)
+    grads = []
+    for leaf in (ad.Tensor, ad.constant):
+        cx, cy, p = leaf(x), leaf(y), ad.Tensor(w)
+        h = ad.matmul(ad.mul(ad.sub(ad.add(cx, cy), cy), cx), p)
+        ad.backward(ad.sum_all(ad.mul(h, h)))
+        grads.append(p.grad)
+        if leaf is ad.constant:
+            assert cx._grad is None and cy._grad is None
+            assert cx.is_constant and not p.is_constant
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_mean_rows_value_and_empty_error():
     x = np.array([[1.0, 3.0], [5.0, 7.0]])
     np.testing.assert_allclose(ad.mean_rows(ad.Tensor(x)).value, [[3.0, 5.0]])
@@ -186,6 +229,10 @@ def test_l2_normalize_unit_norm_and_zero_rejection():
     assert abs(np.linalg.norm(out.value) - 1.0) < 1e-7
     with pytest.raises(DegenerateInputError):
         ad.l2_normalize(ad.Tensor(np.zeros((1, 4))))
+    rows = ad.l2_normalize(ad.Tensor(np.array([[3.0, 4.0], [0.0, 2.0]])))
+    np.testing.assert_allclose(rows.value, [[0.6, 0.8], [0.0, 1.0]])
+    with pytest.raises(DegenerateInputError, match="row 1"):
+        ad.l2_normalize(ad.Tensor(np.array([[3.0, 4.0], [0.0, 0.0]])))
 
 
 def test_l2_normalize_gradient_is_tangent():

@@ -234,6 +234,18 @@ def test_wrong_shaped_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["param.agg.proj.w", "adam_m.agg.proj.w",
+                                 "adam_v.agg.proj.w"])
+def test_non_finite_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
+    (entry,) = magt.read_container(trained / "checkpoint.magt")
+    entry.tensors[key] = entry.tensors[key].copy()
+    entry.tensors[key][0, 0] = np.nan
+    path = tmp_path / "corrupt.magt"
+    magt.write_container([entry], path)
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 3
+    assert key in capsys.readouterr().err
+
+
 def test_config_defaults_and_json_roundtrip():
     cfg = config.RunConfig()
     cfg.validate()

@@ -10,9 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from magvlaq import autodiff as ad
 from magvlaq import tokens, training
-from magvlaq.errors import ConfigurationError, ContractError, DivergenceError
+from magvlaq.errors import (
+    ConfigurationError,
+    ContractError,
+    DegenerateInputError,
+    DivergenceError,
+)
 from magvlaq.model import ModelConfig, PlaceModel
 from magvlaq.params import ParamStore
 
@@ -76,15 +82,16 @@ def _unit_rows(rng, n, d=6):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _distances(ground, refs):
+    return ad.pairwise_distance(ad.Tensor(np.asarray(ground)), ad.Tensor(np.asarray(refs)))
+
+
 def test_triplet_loss_matches_numpy_oracle():
     rng = np.random.default_rng(0)
     a, p, n = _unit_rows(rng, 3), _unit_rows(rng, 3), _unit_rows(rng, 3)
     margin = 0.1
     got = training.triplet_loss(
-        [ad.Tensor(a[i : i + 1]) for i in range(3)],
-        [ad.Tensor(p[i : i + 1]) for i in range(3)],
-        [ad.Tensor(n[i : i + 1]) for i in range(3)],
-        margin,
+        _distances(a, np.concatenate([p, n])), [0, 1, 2], [3, 4, 5], margin
     ).item()
     expect = np.mean(
         [
@@ -104,29 +111,25 @@ def test_triplet_loss_is_zero_when_margin_satisfied():
     a = np.array([[1.0, 0.0]])
     p = np.array([[1.0, 0.0]])
     n = np.array([[-1.0, 0.0]])
-    got = training.triplet_loss(
-        [ad.Tensor(a)], [ad.Tensor(p)], [ad.Tensor(n)], 0.1
-    ).item()
+    got = training.triplet_loss(_distances(a, np.concatenate([p, n])), [0], [1], 0.1).item()
     assert got == 0.0
 
 
 def test_triplet_loss_alignment_contract():
-    t = ad.Tensor(np.ones((1, 2)))
     with pytest.raises(ContractError):
-        training.triplet_loss([t], [t], [], 0.1)
+        training.triplet_loss(ad.Tensor(np.ones((1, 2))), [0], [], 0.1)
     with pytest.raises(ContractError):
-        training.triplet_loss([], [], [], 0.1)
+        training.triplet_loss(ad.Tensor(np.ones((0, 2))), [], [], 0.1)
 
 
 def test_aux_consistency_matches_hand_computation():
     margin = 0.1
-    anchor = ad.Tensor(np.array([[1.0, 0.0]]))
-    near_ref = ad.Tensor(np.array([[0.0, 1.0]]))  # distance sqrt(2)
-    far_ref = ad.Tensor(np.array([[1.0, 0.0]]))  # distance 0
+    anchor = np.array([[1.0, 0.0]])
+    near_ref = np.array([[0.0, 1.0]])  # distance sqrt(2)
+    far_ref = np.array([[1.0, 0.0]])  # distance 0
     got = training.aux_consistency_loss(
-        {"only": [anchor]},
+        _distances(anchor, np.concatenate([near_ref, far_ref])),
         [(0.0, 0.0)],
-        [near_ref, far_ref],
         [(5.0, 0.0), (30.0, 0.0)],
         THRESH,
         margin,
@@ -137,10 +140,10 @@ def test_aux_consistency_matches_hand_computation():
 
 
 def test_aux_consistency_band_only_pairs_contribute_nothing():
-    anchor = ad.Tensor(np.ones((1, 2)))
-    ref = ad.Tensor(np.zeros((1, 2)) + 0.5)
+    anchor = np.ones((1, 2))
+    ref = np.zeros((1, 2)) + 0.5
     got = training.aux_consistency_loss(
-        {"only": [anchor]}, [(0.0, 0.0)], [ref], [(15.0, 0.0)], THRESH, 0.1
+        _distances(anchor, ref), [(0.0, 0.0)], [(15.0, 0.0)], THRESH, 0.1
     ).item()
     assert got == 0.0
 
@@ -186,6 +189,33 @@ def test_adam_matches_reference_trajectory():
     np.testing.assert_allclose(p.value, _adam_reference(grads, 0.01), atol=1e-12)
     assert store.step == 3
     assert p._grad is None  # gradients cleared after each step
+
+
+def test_adam_step_is_bit_identical_to_the_reference_formula():
+    rng = np.random.default_rng(2)
+    shapes = {"a": (3, 4), "b": (1, 5), "c": (7, 2)}
+    stores = []
+    for _ in range(2):
+        store = ParamStore()
+        for dtype in (np.float32, np.float64):
+            for name, shape in shapes.items():
+                init = np.random.default_rng([len(name), len(shape)]).standard_normal(shape)
+                store.add(f"{name}.{np.dtype(dtype).name}", init.astype(dtype))
+        stores.append(store)
+    fast, slow = stores
+    for _ in range(8):
+        for name, p in fast.items():
+            g = rng.standard_normal(p.value.shape).astype(p.value.dtype)
+            if name != "b.float32":  # one parameter keeps a None gradient
+                p.accumulate_grad(g)
+                slow[name].accumulate_grad(g)
+        training.adam_step(fast, lr=3e-3)
+        oracles.adam_step(slow, lr=3e-3)
+    assert fast.step == slow.step == 8
+    for name in fast.names():
+        assert fast[name].value.tobytes() == slow[name].value.tobytes(), name
+        assert fast.first_moment[name].tobytes() == slow.first_moment[name].tobytes()
+        assert fast.second_moment[name].tobytes() == slow.second_moment[name].tobytes()
 
 
 def test_adam_skips_nothing_but_zero_grads_are_no_ops():
@@ -319,3 +349,76 @@ def test_batch_loss_components_are_finite_and_weighted(tiny_dataset):
     assert abs(total.item() - expect) < 1e-6
     for t in (l_tri, l_aux, l_q):
         assert math.isfinite(t.item()) and t.item() >= 0.0
+
+
+def _moved(obs, geo):
+    """A copy of a ground observation placed at another geo-location."""
+    return dataclasses.replace(
+        obs,
+        image=dataclasses.replace(obs.image, geo=geo),
+        lidar=dataclasses.replace(obs.lidar, geo=geo),
+    )
+
+
+def _oracle_batches(ds):
+    """Two batches: in the first, reference 1 is anchor 0's negative and
+    anchor 1's positive; the second adds an anchor halfway between the two
+    references, in both of their bands, so it has no aux pair at all."""
+    train = ds.split_ground("train")
+    ref0, ref1 = ds.aerial[0], ds.aerial[1]
+    geos = [r.geo for r in ds.aerial]
+    at0 = next(o for o in train if training.mine_pairs(o.geo, geos, THRESH)[0] == [0])
+    at1 = next(o for o in train if training.mine_pairs(o.geo, geos, THRESH)[0] == [1])
+    mid = ((ref0.geo[0] + ref1.geo[0]) / 2, (ref0.geo[1] + ref1.geo[1]) / 2)
+    band = _moved(at0, mid)
+    pos, neg = training.mine_pairs(band.geo, [ref0.geo, ref1.geo], THRESH)
+    assert pos == [] and neg == []
+    return [
+        ([at0, at1], [ref0, ref1], [ref1, ref0]),
+        ([at0, band, at1], [ref0, ref0, ref1], [ref1, ref1, ref0]),
+    ]
+
+
+def _loss_and_grads(loss_fn, model, batch):
+    parts = loss_fn(model, *batch, SETTINGS)
+    ad.backward(parts[3])
+    grads = {name: p.grad.copy() for name, p in model.store.items()}
+    model.store.zero_grads()
+    return [t.item() for t in parts], grads
+
+
+@pytest.mark.parametrize("aggregator", ["ode-vlaq", "static-vlaq", "pooling"])
+def test_batched_loss_matches_list_based_oracle(tiny_dataset, aggregator):
+    model = PlaceModel(dataclasses.replace(MODEL, aggregator=aggregator), seed=3,
+                       dtype=np.float64)
+    rng = np.random.default_rng(9)
+    for name, p in model.store.items():
+        if name.startswith(("cond.", "fuse.dyn.")) and name.endswith(".w"):
+            p.value += rng.normal(0.0, 0.5, size=p.value.shape)
+    for batch in _oracle_batches(tiny_dataset):
+        want, want_grads = _loss_and_grads(oracles.batch_loss, model, batch)
+        got, got_grads = _loss_and_grads(training.batch_loss, model, batch)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * abs(w), (got, want)
+        assert got[2] > 0.0 if aggregator == "ode-vlaq" else got[2] == 0.0
+        for name, w in want_grads.items():
+            scale = max(float(np.abs(w).max()), 1e-300)
+            assert float(np.abs(got_grads[name] - w).max()) <= 1e-9 * scale, name
+
+
+def test_zero_pre_head_row_in_a_batch_is_degenerate(tiny_dataset):
+    m = PlaceModel(MODEL, seed=3)
+    good = m.aerial_row(tiny_dataset.aerial[0])
+    zero = ad.Tensor(np.zeros_like(good.value))
+    with pytest.raises(DegenerateInputError, match="row 1"):
+        m.head([good, zero, good])
+
+
+def test_constant_leaves_leave_parameter_gradients_bit_identical(tiny_dataset, monkeypatch):
+    batch = _oracle_batches(tiny_dataset)[1]
+    m = PlaceModel(MODEL, seed=3)
+    _, with_constants = _loss_and_grads(training.batch_loss, m, batch)
+    monkeypatch.setattr(ad, "constant", ad.Tensor)
+    _, without = _loss_and_grads(training.batch_loss, m, batch)
+    for name, g in with_constants.items():
+        assert g.tobytes() == without[name].tobytes(), name
