@@ -9,6 +9,7 @@ graph dtype.
 
 from __future__ import annotations
 
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,21 +23,21 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float32
 
-_grad_enabled = True
+# Per thread (and per asyncio task): no_grad in one cannot switch off
+# graph construction in another.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables graph construction (inference mode)."""
+    """Context manager that disables graph construction (inference mode)
+    in the current thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -57,7 +58,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.value = arr
         self._grad = None
-        if _grad_enabled:
+        if _grad_enabled.get():
             self._parents = tuple(parents)
             self._backward = backward
         else:

@@ -107,8 +107,12 @@ def read_container(path: str | Path) -> list[ContainerEntry]:
                 name, rows, cols, off = rec["name"], rec["rows"], rec["cols"], rec["offset"]
             except (TypeError, KeyError) as exc:
                 raise CorruptContainerError(f"{path}: malformed tensor record {rec!r}") from exc
-            if not (isinstance(rows, int) and isinstance(cols, int) and isinstance(off, int)):
-                raise CorruptContainerError(f"{path}: non-integer tensor record {rec!r}")
+            if not isinstance(name, str) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols, off)
+            ):
+                raise CorruptContainerError(f"{path}: mistyped tensor record {rec!r}")
+            if name in tensors:
+                raise CorruptContainerError(f"{path}: duplicate tensor name {name!r}")
             if rows < 0 or cols < 0 or off < 0 or off % 4 != 0:
                 raise CorruptContainerError(f"{path}: bad offset/shape in record {rec!r}")
             if off < last_end:

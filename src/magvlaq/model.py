@@ -22,13 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, retrieval, vlaq
+from . import fusion, vlaq
 from .errors import ConfigurationError, DimensionError
 from .params import Layer, ParamStore, init_mlp
 from .tokens import AerialReference, GroundObservation
 
 AGGREGATORS = ("pooling", "static-vlaq", "ode-vlaq")
 MODALITY_MASKS = ("both", "image-only", "lidar-only")
+# Items per batch when embedding a list; it bounds the memory of one batch.
+EMBED_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -327,49 +329,57 @@ class PlaceModel:
 
     # ----- embedding lists ------------------------------------------------
 
-    def _embed(self, forward, items: Sequence) -> np.ndarray:
+    def _embed(self, items: Sequence, chunk_rows) -> np.ndarray:
+        """Descriptors of items in input order, with no tape: each chunk of
+        at most EMBED_CHUNK items goes through ``chunk_rows`` and one head."""
+        out = np.empty((len(items), self.config.out_dim), self.dtype)
         with ad.no_grad():
-            rows = retrieval.parallel_map(lambda item: forward(item).value[0], items)
-        return np.stack(rows) if rows else np.zeros((0, self.config.out_dim), self.dtype)
+            for start in range(0, len(items), EMBED_CHUNK):
+                chunk = items[start : start + EMBED_CHUNK]
+                out[start : start + len(chunk)] = self.head(chunk_rows(chunk)).value
+        return out
 
     def embed_ground(self, observations: Sequence[GroundObservation],
                      mask: str = "both") -> np.ndarray:
-        """Descriptors of ground observations (N x out_dim, input order), with
-        no tape; observations are embedded through ``retrieval.parallel_map``."""
+        """Descriptors of ground observations (N x out_dim, input order); each
+        chunk runs its fusion cascade and conditioner on one batch of rows."""
         return self._embed(
-            lambda obs: self.ground_forward(obs, mask=mask).descriptor, observations
+            observations, lambda chunk: self.ground_rows(GroundBatch(self, chunk), mask)[0]
         )
 
     def embed_aerial(self, references: Sequence[AerialReference]) -> np.ndarray:
-        """Descriptors of aerial references (N x out_dim, input order), with
-        no tape; references are embedded through ``retrieval.parallel_map``."""
-        return self._embed(self.aerial_descriptor, references)
+        """Descriptors of aerial references (N x out_dim, input order)."""
+        return self._embed(references, lambda chunk: [self.aerial_row(r) for r in chunk])
 
 
 class GroundBatch:
-    """Ground observations whose token matrices are projected on first use.
+    """Ground observations whose token matrices are projected on use.
 
-    Each (observation, modality, scale) matrix is projected once and then
-    shared by the fusion cascade and every sensor view of the batch.
+    The last scale of each modality is projected once and then shared by
+    the fusion cascade and every sensor view of the batch. The other scales
+    feed only the cascade, so they are not kept: without a tape their
+    projections are freed once pooled.
     """
 
     def __init__(self, model: PlaceModel,
                  observations: Sequence[GroundObservation]) -> None:
         self.model = model
         self.observations = list(observations)
-        self._projected: dict[tuple[str, int], list[ad.Tensor]] = {}
+        self._last_scale: dict[str, list[ad.Tensor]] = {}
 
     def scale_tokens(self, modality: str, idx: int) -> list[ad.Tensor]:
         """Projected tokens of one modality at one scale, per observation."""
-        key = (modality, idx)
-        if key not in self._projected:
-            model = self.model
-            self._projected[key] = [
-                model.project_tokens(model._ground_scales(obs, modality)[idx],
-                                     modality, obs.id)
-                for obs in self.observations
-            ]
-        return self._projected[key]
+        last = idx == self.model.config.num_scales - 1
+        if last and modality in self._last_scale:
+            return self._last_scale[modality]
+        model = self.model
+        projected = [
+            model.project_tokens(model._ground_scales(obs, modality)[idx], modality, obs.id)
+            for obs in self.observations
+        ]
+        if last:
+            self._last_scale[modality] = projected
+        return projected
 
     def tokens(self, modalities: tuple[str, ...]) -> list[ad.Tensor]:
         """Aggregation input per observation: the last scale of each

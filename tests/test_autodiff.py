@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,30 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         y = ad.mul(x, x)
     assert y._parents == () and y._backward is None
+
+
+def test_no_grad_in_one_thread_leaves_another_thread_taping():
+    inside, done = threading.Event(), threading.Event()
+    worker_parents = []
+
+    def worker():
+        with ad.no_grad():
+            inside.set()
+            done.wait(timeout=30)
+            worker_parents.append(ad.mul(ad.Tensor(np.ones((1, 1))), 2.0)._parents)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert inside.wait(timeout=30)
+        x = ad.Tensor(np.array([[1.0, -2.0, 3.0]]))
+        ad.backward(ad.sum_all(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 2.0 * x.value)
+    finally:
+        done.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert worker_parents == [()]
 
 
 def test_reshape_transpose_concat_gradients():

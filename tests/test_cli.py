@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_missing_files_exit_3(tmp_path, capsys):
     garbage.write_bytes(b"not a container at all")
     assert cli.main(["inspect", str(garbage)]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("records", [
+    [{"name": [1], "rows": 1, "cols": 1, "offset": 0}],
+    [{"name": "w", "rows": 1, "cols": 1, "offset": 0},
+     {"name": "w", "rows": 1, "cols": 1, "offset": 4}],
+], ids=["unhashable-name", "duplicate-name"])
+def test_malformed_tensor_records_exit_3(tmp_path, capsys, records):
+    header = json.dumps({"entries": [{"id": "x", "tensors": records}]}).encode()
+    path = tmp_path / "crafted.magt"
+    path.write_bytes(struct.pack("<4sIQ", magt.MAGIC, magt.VERSION, len(header))
+                     + header + b"\x00" * 8)
+    assert cli.main(["inspect", str(path)]) == 3
+    assert "tensor" in capsys.readouterr().err
 
 
 def test_checkpoint_validation_rejects_wrong_container(tmp_path, capsys):

@@ -163,6 +163,30 @@ def test_overlapping_offsets_are_rejected(tmp_path):
         magt.read_container(path)
 
 
+def test_duplicate_tensor_name_is_rejected(tmp_path):
+    path = _craft(
+        tmp_path,
+        [
+            {"name": "w", "rows": 1, "cols": 1, "offset": 0},
+            {"name": "w", "rows": 1, "cols": 1, "offset": 4},
+        ],
+        b"\x00" * 8,
+    )
+    with pytest.raises(CorruptContainerError, match="duplicate tensor name 'w'"):
+        magt.read_container(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("name", [1]), ("name", 7), ("rows", True), ("cols", 1.0), ("offset", "0"),
+    ("offset", False),
+])
+def test_mistyped_tensor_record_is_rejected(tmp_path, field, value):
+    record = {"name": "a", "rows": 1, "cols": 1, "offset": 0, field: value}
+    path = _craft(tmp_path, [record], b"\x00" * 4)
+    with pytest.raises(CorruptContainerError, match="mistyped"):
+        magt.read_container(path)
+
+
 def test_blob_past_end_is_truncation(tmp_path):
     path = _craft(
         tmp_path,

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 import oracles
 from magvlaq import autodiff as ad
-from magvlaq import tokens, training
+from magvlaq import retrieval, tokens, training
 from magvlaq.errors import (
     ConfigurationError,
     ContractError,
     DegenerateInputError,
     DivergenceError,
 )
-from magvlaq.model import ModelConfig, PlaceModel
+from magvlaq.model import EMBED_CHUNK, ModelConfig, PlaceModel
 from magvlaq.params import ParamStore
 
 THRESH = training.MiningThresholds(tau_p=10.0, tau_n=25.0)
@@ -313,21 +313,51 @@ def test_embed_lists_match_individual_forwards(tiny_dataset):
     m = PlaceModel(MODEL, seed=3)
     train_obs = tiny_dataset.split_ground("train")
     refs = tiny_dataset.aerial
+    # Longer than two chunks with a one-item tail.
+    n_long = 2 * EMBED_CHUNK + 1
+    long_obs = (train_obs * n_long)[:n_long]
+    long_refs = (refs * n_long)[:n_long]
     with ad.no_grad():
         for obs_list, mask in ((train_obs, "both"), (train_obs, "lidar-only"),
-                               (train_obs[:1], "both")):
+                               (train_obs[:1], "both"), (long_obs, "both")):
             rows = m.embed_ground(obs_list, mask=mask)
             assert rows.shape == (len(obs_list), MODEL.out_dim)
             for row, obs in zip(rows, obs_list):
                 np.testing.assert_array_equal(
                     row, m.ground_forward(obs, mask=mask).descriptor.value[0]
                 )
-        for ref_list in (refs, refs[:1]):
+        for ref_list in (refs, refs[:1], long_refs):
             rows = m.embed_aerial(ref_list)
             assert rows.shape == (len(ref_list), MODEL.out_dim)
             for row, ref in zip(rows, ref_list):
                 np.testing.assert_array_equal(row, m.aerial_descriptor(ref).value[0])
     assert m.embed_ground([]).shape == (0, MODEL.out_dim)
+    assert m.embed_aerial([]).shape == (0, MODEL.out_dim)
+
+
+@pytest.mark.parametrize("n", [1, EMBED_CHUNK, EMBED_CHUNK + 1, 2 * EMBED_CHUNK + 1])
+def test_embed_lists_run_one_head_per_chunk(tiny_dataset, monkeypatch, n):
+    m = PlaceModel(MODEL, seed=3)
+    heads = []
+    real_head = PlaceModel.head
+
+    def counting_head(self, rows):
+        heads.append(len(rows))
+        return real_head(self, rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("list embedding must not run one forward per item")
+
+    monkeypatch.setattr(PlaceModel, "head", counting_head)
+    monkeypatch.setattr(PlaceModel, "ground_forward", forbidden)
+    monkeypatch.setattr(PlaceModel, "aerial_descriptor", forbidden)
+    monkeypatch.setattr(retrieval, "parallel_map", forbidden)
+    obs = (tiny_dataset.ground * n)[:n]
+    refs = (tiny_dataset.aerial * n)[:n]
+    for embed, items in ((m.embed_ground, obs), (m.embed_aerial, refs)):
+        heads.clear()
+        assert embed(items).shape == (n, MODEL.out_dim)
+        assert len(heads) == math.ceil(n / EMBED_CHUNK) and sum(heads) == n
 
 
 
