@@ -55,7 +55,11 @@ class ParamStore:
             p.zero_grad()
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place; names and shapes must match."""
+        """Replace parameter values; names and shapes must match.
+
+        An array that already has its parameter's dtype becomes the new value
+        without a copy, so the caller must not modify it afterwards.
+        """
         missing = set(self.params) - set(values)
         extra = set(values) - set(self.params)
         if missing or extra:
@@ -68,7 +72,7 @@ class ParamStore:
                 raise ConfigurationError(
                     f"parameter {name!r}: stored shape {arr.shape} != expected {tensor.value.shape}"
                 )
-            tensor.value = arr.astype(tensor.value.dtype)
+            tensor.value = arr.astype(tensor.value.dtype, copy=False)
             tensor.zero_grad()
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DegenerateInputError, DimensionError
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -52,11 +52,19 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
 
 @dataclass
 class DescriptorDatabase:
-    """Aligned reference ids, geo-positions (M x 2), and descriptors (M x D)."""
+    """Aligned reference ids, geo-positions (M x 2), and descriptors (M x D).
+
+    Construction also computes what every search reuses: each reference's
+    float64 squared norm (``sq_norms``) and its position in ascending id
+    order (``id_rank``). Changing ``vectors`` or ``ids`` in place afterwards
+    is unsupported; build a new database instead.
+    """
 
     ids: list[str]
     geos: np.ndarray
     vectors: np.ndarray
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.ids)
@@ -67,20 +75,51 @@ class DescriptorDatabase:
             )
         if len(set(self.ids)) != m:
             raise ContractError("database ids must be unique")
+        row = _first_non_finite_row(self.vectors)
+        if row is not None:
+            raise DegenerateInputError(
+                f"reference row {row} (id {self.ids[row]!r}) has a non-finite value"
+            )
+        self.sq_norms = squared_norms(self.vectors)
+        self.id_rank = np.argsort(np.argsort(self.ids, kind="stable"), kind="stable")
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-def distance_matrix(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Euclidean distances (Q x M) computed in float64."""
+def _first_non_finite_row(vectors: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or an infinity, if any."""
+    finite = np.isfinite(vectors)
+    if finite.all():
+        return None
+    return int(np.argwhere(~finite)[0, 0])
+
+
+def squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Row-wise squared L2 norms (M,) computed in float64."""
+    return (vectors.astype(np.float64, copy=False) ** 2).sum(axis=1)
+
+
+def distance_matrix(queries: np.ndarray, refs: np.ndarray, *,
+                    ref_sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances (Q x M) computed in float64.
+
+    ``ref_sq_norms`` are the references' ``squared_norms``, if the caller
+    already holds them; otherwise they are computed here.
+    """
     if queries.ndim != 2 or refs.ndim != 2 or queries.shape[1] != refs.shape[1]:
         raise DimensionError(
             f"incompatible descriptor shapes {queries.shape} and {refs.shape}"
         )
+    if ref_sq_norms is None:
+        ref_sq_norms = squared_norms(refs)
+    elif ref_sq_norms.shape != (refs.shape[0],):
+        raise DimensionError(
+            f"{ref_sq_norms.shape} squared norms for {refs.shape[0]} references"
+        )
     q = queries.astype(np.float64)
-    r = refs.astype(np.float64)
-    sq = (q**2).sum(axis=1)[:, None] + (r**2).sum(axis=1)[None, :] - 2.0 * (q @ r.T)
+    r = refs.astype(np.float64, copy=False)
+    sq = squared_norms(q)[:, None] + ref_sq_norms[None, :] - 2.0 * (q @ r.T)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -89,16 +128,19 @@ def knn_search(query_vecs: np.ndarray, db: DescriptorDatabase,
     """Top-k reference indices and distances per query, exact and stable.
 
     Equal distances are ordered by ascending reference id, so the ranking is
-    a pure function of the inputs.
+    a pure function of the inputs. A query row with a NaN or an infinity is
+    rejected rather than ranked.
     """
     if not 1 <= k <= len(db):
         raise ContractError(f"k must be in [1, {len(db)}], got {k}")
-    dists = distance_matrix(query_vecs, db.vectors)
-    id_rank = np.argsort(np.argsort(db.ids, kind="stable"), kind="stable")
+    row = _first_non_finite_row(query_vecs)
+    if row is not None:
+        raise DegenerateInputError(f"query row {row} has a non-finite value")
+    dists = distance_matrix(query_vecs, db.vectors, ref_sq_norms=db.sq_norms)
     indices = np.empty((dists.shape[0], k), dtype=np.int64)
     out_d = np.empty((dists.shape[0], k), dtype=np.float64)
     for qi in range(dists.shape[0]):
-        order = np.lexsort((id_rank, dists[qi]))[:k]
+        order = np.lexsort((db.id_rank, dists[qi]))[:k]
         indices[qi] = order
         out_d[qi] = dists[qi, order]
     return indices, out_d

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from magvlaq import autodiff as ad
-from magvlaq import training
+from magvlaq import retrieval, training
 from magvlaq.errors import ContractError, DegenerateInputError, DivergenceError
 from magvlaq.model import PlaceModel
 from magvlaq.params import ParamStore
@@ -219,3 +219,28 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
         update = (m / correct1) / (np.sqrt(v / correct2) + eps)
         p.value -= lr * update.astype(p.value.dtype)
     store.zero_grads()
+
+
+# Exact search as it ran before the database cached its squared norms and id
+# ranks: both are recomputed on every call. retrieval.knn_search must match it
+# bit for bit, indices and distances.
+
+
+def knn_search(query_vecs: np.ndarray, db: retrieval.DescriptorDatabase,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k reference indices and distances per query, exact and stable.
+
+    Equal distances are ordered by ascending reference id, so the ranking is
+    a pure function of the inputs.
+    """
+    if not 1 <= k <= len(db):
+        raise ContractError(f"k must be in [1, {len(db)}], got {k}")
+    dists = retrieval.distance_matrix(query_vecs, db.vectors)
+    id_rank = np.argsort(np.argsort(db.ids, kind="stable"), kind="stable")
+    indices = np.empty((dists.shape[0], k), dtype=np.int64)
+    out_d = np.empty((dists.shape[0], k), dtype=np.float64)
+    for qi in range(dists.shape[0]):
+        order = np.lexsort((id_rank, dists[qi]))[:k]
+        indices[qi] = order
+        out_d[qi] = dists[qi, order]
+    return indices, out_d

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from magvlaq import cli, config, magt, tokens
+from magvlaq import cli, config, magt, retrieval, tokens
 from magvlaq.errors import ConfigurationError
 from magvlaq.model import PlaceModel
 
@@ -126,6 +126,52 @@ def test_checkpoint_roundtrip_preserves_optimizer_state(tmp_path):
         np.testing.assert_array_equal(
             loaded.store.second_moment[name], model.store.second_moment[name]
         )
+
+
+def test_load_values_converts_other_dtypes_and_adopts_matching_ones():
+    cfg = config.config_from_mapping(dict(TINY))
+    store = PlaceModel(cfg.model_config(), seed=cfg.seed).store
+    rng = np.random.default_rng(3)
+    wide = {name: rng.standard_normal(p.value.shape) for name, p in store.items()}
+    store.load_values(wide)
+    for name, p in store.items():
+        assert p.value.dtype == np.float32
+        np.testing.assert_array_equal(p.value, wide[name].astype(np.float32))
+    narrow = {name: p.value.copy() for name, p in store.items()}
+    store.load_values(narrow)
+    for name, p in store.items():
+        assert p.value is narrow[name]
+
+
+def test_loaded_checkpoint_evaluates_like_the_model_that_saved_it(tmp_path, capsys):
+    cfg = config.config_from_mapping(dict(TINY))
+    model = PlaceModel(cfg.model_config(), seed=cfg.seed)
+    rng = np.random.default_rng(4)
+    for _, p in model.store.items():
+        p.value = p.value + (0.1 * rng.standard_normal(p.value.shape)).astype(p.value.dtype)
+    path = tmp_path / "ckpt.magt"
+    cli.save_checkpoint(model, cfg, path)
+
+    assert cli.main(["eval", "--checkpoint", str(path), "--split", "all"]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    dataset = tokens.generate_synthetic_dataset(cfg.synth_config(), cfg.seed)
+    db = retrieval.DescriptorDatabase(
+        ids=[ref.id for ref in dataset.aerial],
+        geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
+        vectors=model.embed_aerial(dataset.aerial),
+    )
+    ground_vecs = model.embed_ground(dataset.ground)
+    query_geos = np.array([obs.geo for obs in dataset.ground], dtype=np.float64)
+    report = retrieval.recall_at_k(ground_vecs, query_geos, db,
+                                   ks=cfg.eval_ks, radius=cfg.eval_radius)
+    assert printed == report.to_json()
+
+    out = tmp_path / "descriptors.magt"
+    assert cli.main(["export", "--checkpoint", str(path), "--out", str(out)]) == 0
+    exported = np.concatenate(
+        [e.tensors["descriptor"] for e in magt.read_container(out)]
+    )
+    np.testing.assert_array_equal(exported, np.concatenate([ground_vecs, db.vectors]))
 
 
 def test_eval_report_masks_and_heatmap(tiny_config_path, trained, tmp_path, capsys):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from magvlaq import retrieval
-from magvlaq.errors import ContractError, DimensionError
+from magvlaq.errors import ContractError, DegenerateInputError, DimensionError
 
 
 def _db(vectors, geos=None, ids=None):
@@ -79,6 +80,64 @@ def test_knn_matches_naive_full_sort(data, nq, m, d):
     np.testing.assert_array_equal(idx, _naive_knn(q, db, k))
     for qi in range(nq):
         assert (np.diff(dist[qi]) >= -1e-12).all()
+
+
+def test_distance_matrix_with_given_norms_is_bit_identical():
+    rng = np.random.default_rng(2)
+    q = rng.standard_normal((6, 9)).astype(np.float32)
+    r64 = rng.standard_normal((11, 9))
+    for r in (r64.astype(np.float32), r64):
+        norms = retrieval.squared_norms(r)
+        np.testing.assert_array_equal(
+            retrieval.distance_matrix(q, r, ref_sq_norms=norms),
+            retrieval.distance_matrix(q, r),
+        )
+        with pytest.raises(DimensionError):
+            retrieval.distance_matrix(q, r, ref_sq_norms=norms[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 64), d=st.integers(1, 8))
+def test_cached_search_is_bit_identical_to_the_per_call_oracle(data, m, d):
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    step = data.draw(st.sampled_from([1.0, 0.1, 0.37]))
+    rng = np.random.default_rng(seed)
+
+    def quantized(rows):
+        # a few levels force frequent exact distance ties; a step of 0.1 or
+        # 0.37 makes float32 and float64 squared norms differ
+        return (step * rng.integers(-2, 3, size=(rows, d))).astype(np.float32)
+
+    db = _db(quantized(m), ids=[f"r{i:03d}" for i in rng.permutation(m)])
+    batches = [quantized(1) for _ in range(3)]
+    batches.append(quantized(data.draw(st.integers(2, 9))))
+    for q in batches:
+        k = data.draw(st.integers(1, m))
+        idx, dist = retrieval.knn_search(q, db, k)
+        want_idx, want_dist = oracles.knn_search(q, db, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reference_is_rejected_by_row(bad):
+    vectors = np.eye(4, dtype=np.float32)
+    vectors[2, 1] = bad
+    vectors[3, 0] = bad
+    with pytest.raises(DegenerateInputError, match=r"reference row 2 \(id 'r002'\)"):
+        _db(vectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_rejected_by_row(bad):
+    db = _db(np.eye(4, dtype=np.float32))
+    queries = np.eye(4, dtype=np.float32)[:3].copy()
+    queries[1, 3] = bad
+    queries[2, 0] = bad
+    with pytest.raises(DegenerateInputError, match="query row 1 "):
+        retrieval.knn_search(queries, db, 2)
+    with pytest.raises(DegenerateInputError, match="query row 0 "):
+        retrieval.recall_at_k(queries[1:], np.zeros((2, 2)), db, ks=(1,))
 
 
 def test_knn_breaks_ties_by_ascending_id():
