@@ -41,6 +41,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops in the current thread record the graph (False under no_grad)."""
+    return _grad_enabled.get()
+
+
 class Tensor:
     """A dense array with an accumulated gradient and backward recipe.
 

@@ -64,6 +64,10 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
     if not isinstance(raw_cfg, dict):
         raise DatasetValidationError(f"{path}: checkpoint lacks its run config")
     run_config = config_mod.config_from_mapping(raw_cfg, source=str(path))
+    step = entry.meta.get("step")
+    # bool is a subclass of int: a JSON true must not load as step 1
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise DatasetValidationError(f"{path}: bad optimizer step {step!r}")
     model = PlaceModel(run_config.model_config(), seed=run_config.seed)
     store = model.store
     for name, p in store.items():
@@ -83,9 +87,6 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
     for name in store.params:
         store.first_moment[name][...] = entry.tensors[f"adam_m.{name}"]
         store.second_moment[name][...] = entry.tensors[f"adam_v.{name}"]
-    step = entry.meta.get("step")
-    if not isinstance(step, int) or step < 0:
-        raise DatasetValidationError(f"{path}: bad optimizer step {step!r}")
     store.step = step
     return run_config, model
 

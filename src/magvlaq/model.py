@@ -226,13 +226,8 @@ class PlaceModel:
                     )
                 )
             messages.append(terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1]))
-        dynamics = [
-            lambda y, layers=layers: ad.mlp_forward(
-                y, layers, activation=self.config.activation
-            )
-            for layers in self.dyn_layers
-        ]
-        return fusion.fuse(messages, dynamics, self.config.fusion_config())
+        return fusion.fuse(messages, self.dyn_layers, self.config.activation,
+                           self.config.fusion_config())
 
     def predict_query_shift(self, embedding: ad.Tensor) -> ad.Tensor:
         """Map fusion embeddings (one row per observation) to additive

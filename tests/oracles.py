@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +70,36 @@ def brute_force_vlaq(tokens: np.ndarray, prototypes: np.ndarray,
     if norm <= 1e-12:
         raise DegenerateInputError("descriptor norm vanished in reference aggregation")
     return np.array([[v / norm for v in out]], dtype=np.float64)
+
+
+# RK4 unrolled on the autodiff tape with arbitrary dynamics: about 30 nodes
+# per step. fusion.rk4_integrate must match its output bit for bit when the
+# dynamics are the same MLP, and its gradients up to summation order.
+
+
+def rk4_unrolled(state: ad.Tensor, dynamics: Callable[[ad.Tensor], ad.Tensor],
+                 steps: int, horizon: float) -> ad.Tensor:
+    """Integrate y' = dynamics(y) from 0 to horizon with classic RK4.
+
+    Raises DivergenceError naming the first step whose state stops being
+    finite.
+    """
+    if steps < 1:
+        raise ContractError(f"steps must be >= 1, got {steps}")
+    h = horizon / steps
+    y = state
+    for i in range(steps):
+        k1 = dynamics(y)
+        k2 = dynamics(ad.add(y, ad.scale(k1, h / 2.0)))
+        k3 = dynamics(ad.add(y, ad.scale(k2, h / 2.0)))
+        k4 = dynamics(ad.add(y, ad.scale(k3, h)))
+        increment = ad.add(ad.add(k1, ad.scale(k2, 2.0)), ad.add(ad.scale(k3, 2.0), k4))
+        y = ad.add(y, ad.scale(increment, h / 6.0))
+        if not np.isfinite(y.value).all():
+            raise DivergenceError(
+                f"non-finite state after integration step {i + 1} of {steps}"
+            )
+    return y
 
 
 # The list-based training loss: one sub-tape per descriptor and one

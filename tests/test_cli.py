@@ -307,6 +307,17 @@ def test_non_finite_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", [True, -1, "3"])
+def test_bad_optimizer_step_exits_3(trained, tmp_path, capsys, step):
+    (entry,) = magt.read_container(trained / "checkpoint.magt")
+    entry.meta["step"] = step
+    path = tmp_path / "bad-step.magt"
+    magt.write_container([entry], path)
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "optimizer step" in err
+
+
 def test_config_defaults_and_json_roundtrip():
     cfg = config.RunConfig()
     cfg.validate()
