@@ -25,7 +25,7 @@ from .errors import (
     DivergenceError,
     TokenFileError,
 )
-from .model import MODALITY_MASKS, PlaceModel
+from .model import AGGREGATORS, MODALITY_MASKS, PlaceModel
 from .tokens import TokenDataset
 
 CHECKPOINT_KIND = "params"
@@ -183,14 +183,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not queries:
         raise DatasetValidationError(f"no ground observations in split {args.split!r}")
 
-    db = retrieval.DescriptorDatabase(
-        ids=[ref.id for ref in dataset.aerial],
-        geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
-        vectors=model.embed_aerial(dataset.aerial),
-    )
-    query_vecs = model.embed_ground(queries, mask=args.modality_mask)
-    query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
-    report = retrieval.recall_at_k(query_vecs, query_geos, db, ks=ks, radius=radius)
+    report = training.recall_report(model, queries, dataset.aerial, ks, radius,
+                                    args.modality_mask)
     line = report.to_json()
     print(line)
     if args.out:
@@ -275,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epochs", type=int, help="override the epoch count")
             p.add_argument(
                 "--aggregator",
-                choices=("pooling", "static-vlaq", "ode-vlaq"),
+                choices=AGGREGATORS,
                 help="descriptor aggregation variant",
             )
             p.add_argument(

@@ -64,56 +64,31 @@ class RunConfig:
         self.synth_config().validate()
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            raw_dim=self.raw_dim,
-            proj_dim=self.proj_dim,
-            num_queries=self.num_queries,
-            out_dim=self.out_dim,
-            fuse_dim=self.fuse_dim,
-            num_scales=self.num_scales,
-            ode_steps=self.ode_steps,
-            horizon=self.horizon,
-            alpha=self.alpha,
-            aggregator=self.aggregator,
-            msg_hidden=self.msg_hidden,
-            dyn_hidden=self.dyn_hidden,
-            cond_hidden=self.cond_hidden,
-            activation=self.activation,
-        )
+        return _fill(ModelConfig, self)
 
     def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            batch_size=self.batch_size,
-            lr=self.lr,
-            margin=self.margin,
-            weights=LossWeights(
-                triplet=self.w_triplet, aux=self.w_aux, shift=self.w_shift
-            ),
-            thresholds=MiningThresholds(tau_p=self.tau_p, tau_n=self.tau_n),
-            eval_radius=self.eval_radius,
+        return _fill(
+            TrainSettings,
+            self,
+            weights=LossWeights(triplet=self.w_triplet, aux=self.w_aux, shift=self.w_shift),
+            thresholds=_fill(MiningThresholds, self),
             eval_ks=tuple(self.eval_ks),
         )
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_places=self.num_places,
-            place_spacing=self.place_spacing,
-            train_per_place=self.train_per_place,
-            test_per_place=self.test_per_place,
-            num_scales=self.num_scales,
-            tokens_per_scale=self.tokens_per_scale,
-            token_dim=self.raw_dim,
-            latent_dim=self.latent_dim,
-            noise=self.noise,
-            tau_p=self.tau_p,
-            tau_n=self.tau_n,
-            modality_tag=self.modality_tag,
-        )
+        return _fill(SynthConfig, self, token_dim=self.raw_dim)
 
     def to_json(self) -> str:
         payload = dataclasses.asdict(self)
         payload["eval_ks"] = list(payload["eval_ks"])
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _fill(component: type, run: RunConfig, **given):
+    """An instance of the dataclass ``component``: fields named in ``given``
+    take those values, every other field the RunConfig field of its name."""
+    names = [f.name for f in dataclasses.fields(component) if f.name not in given]
+    return component(**{name: getattr(run, name) for name in names}, **given)
 
 
 def _check_type(name: str, value, default) -> object:

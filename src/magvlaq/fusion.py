@@ -14,7 +14,6 @@ gradients are the exact gradients of the discrete solve
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,24 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .params import Layer
-
-@dataclass(frozen=True)
-class FusionConfig:
-    fuse_dim: int = 64
-    num_scales: int = 4
-    steps: int = 4
-    horizon: float = 1.0
-
-    def validate(self) -> None:
-        if self.fuse_dim < 1 or self.num_scales < 1:
-            raise ConfigurationError(
-                f"fusion needs positive dims, got fuse_dim={self.fuse_dim} "
-                f"num_scales={self.num_scales}"
-            )
-        if self.steps < 1:
-            raise ConfigurationError(f"integration needs >= 1 step, got {self.steps}")
-        if not self.horizon > 0:
-            raise ConfigurationError(f"integration horizon must be > 0, got {self.horizon}")
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -144,7 +125,7 @@ def rk4_integrate(state, layers: Sequence[Layer], steps: int, horizon: float,
 
 
 def fuse(messages: Sequence[ad.Tensor], layers: Sequence[Sequence[Layer]],
-         activation: str, config: FusionConfig) -> ad.Tensor:
+         activation: str, steps: int, horizon: float) -> ad.Tensor:
     """Cascade messages[0..L-1] (shallowest first) into one fusion embedding.
 
     ``layers[idx]`` is the MLP of scale idx's dynamics. The deepest scale
@@ -152,15 +133,12 @@ def fuse(messages: Sequence[ad.Tensor], layers: Sequence[Sequence[Layer]],
     message plus the previous flow's end state. With zero dynamics this
     reduces to the plain sum of all messages.
     """
-    if len(messages) != config.num_scales or len(layers) != config.num_scales:
+    if not messages or len(layers) != len(messages):
         raise ConfigurationError(
-            f"expected {config.num_scales} messages and dynamics, got "
-            f"{len(messages)} and {len(layers)}"
+            f"expected {len(messages)} dynamics, one per message, got {len(layers)}"
         )
-    carry: ad.Tensor | None = None
-    for idx in range(config.num_scales - 1, -1, -1):
-        init = messages[idx] if carry is None else ad.add(messages[idx], carry)
-        carry = rk4_integrate(init, layers[idx], config.steps, config.horizon,
-                              activation)
-    assert carry is not None
+    carry = rk4_integrate(messages[-1], layers[-1], steps, horizon, activation)
+    for idx in range(len(messages) - 2, -1, -1):
+        carry = rk4_integrate(ad.add(messages[idx], carry), layers[idx], steps,
+                              horizon, activation)
     return carry

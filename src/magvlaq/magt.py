@@ -94,7 +94,7 @@ def read_container(path: str | Path) -> list[ContainerEntry]:
     if not isinstance(header, dict) or not isinstance(header.get("entries"), list):
         raise CorruptContainerError(f"{path}: header missing 'entries' list")
 
-    blob = data[_HEAD.size + header_len :]
+    blob = memoryview(data)[_HEAD.size + header_len :]
     entries = []
     last_end = 0
     for raw_entry in header["entries"]:

@@ -61,21 +61,20 @@ class ModelConfig:
             raise ConfigurationError(f"conditioning strength must be finite, got {self.alpha}")
         if min(self.raw_dim, self.msg_hidden, self.dyn_hidden, self.cond_hidden) < 1:
             raise ConfigurationError("model dims must be positive")
-        self.vlaq_config().validate()
-        self.fusion_config().validate()
-
-    def vlaq_config(self) -> vlaq.VlaqConfig:
-        return vlaq.VlaqConfig(
-            num_queries=self.num_queries, proj_dim=self.proj_dim, out_dim=self.out_dim
-        )
-
-    def fusion_config(self) -> fusion.FusionConfig:
-        return fusion.FusionConfig(
-            fuse_dim=self.fuse_dim,
-            num_scales=self.num_scales,
-            steps=self.ode_steps,
-            horizon=self.horizon,
-        )
+        if min(self.num_queries, self.proj_dim, self.out_dim) < 1:
+            raise ConfigurationError(
+                f"vlaq dims must be positive, got S={self.num_queries} "
+                f"D={self.proj_dim} out={self.out_dim}"
+            )
+        if self.fuse_dim < 1 or self.num_scales < 1:
+            raise ConfigurationError(
+                f"fusion needs positive dims, got fuse_dim={self.fuse_dim} "
+                f"num_scales={self.num_scales}"
+            )
+        if self.ode_steps < 1:
+            raise ConfigurationError(f"integration needs >= 1 step, got {self.ode_steps}")
+        if not self.horizon > 0:
+            raise ConfigurationError(f"integration horizon must be > 0, got {self.horizon}")
 
 
 @dataclass
@@ -137,7 +136,7 @@ class PlaceModel:
             )
             self.ln[modality] = (gain, bias)
         self.prototypes = self.store.add(
-            "prototypes", vlaq.init_prototypes(c.vlaq_config(), rng, self.dtype)
+            "prototypes", vlaq.init_prototypes(c.num_queries, c.proj_dim, rng, self.dtype)
         )
         self.agg_proj = linear_weight(
             "agg.proj.w", c.num_queries * c.proj_dim, c.out_dim
@@ -227,7 +226,7 @@ class PlaceModel:
                 )
             messages.append(terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1]))
         return fusion.fuse(messages, self.dyn_layers, self.config.activation,
-                           self.config.fusion_config())
+                           self.config.ode_steps, self.config.horizon)
 
     def predict_query_shift(self, embedding: ad.Tensor) -> ad.Tensor:
         """Map fusion embeddings (one row per observation) to additive
@@ -241,10 +240,6 @@ class PlaceModel:
         return ad.add(self.prototypes, ad.scale(delta, self.config.alpha))
 
     # ----- descriptors ----------------------------------------------------
-
-    def _ground_tokens(self, obs: GroundObservation,
-                       modalities: tuple[str, ...]) -> ad.Tensor:
-        return GroundBatch(self, [obs]).tokens(modalities)[0]
 
     def _banks(self, batch: GroundBatch, modalities: tuple[str, ...],
                conditioned: bool | None) -> tuple[list[ad.Tensor], list[ad.Tensor | None]]:

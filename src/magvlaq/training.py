@@ -22,7 +22,7 @@ from . import retrieval
 from .errors import ConfigurationError, ContractError, DivergenceError
 from .model import GroundBatch, PlaceModel
 from .params import ParamStore
-from .tokens import TokenDataset
+from .tokens import AerialReference, GroundObservation, TokenDataset
 
 CSV_HEADER = "epoch,l_tri,l_aux,l_q,total,recall1,recall5,recall10,seconds"
 
@@ -361,6 +361,21 @@ def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSetting
     )
 
 
+def recall_report(model: PlaceModel, queries: Sequence[GroundObservation],
+                  references: Sequence[AerialReference], ks: Sequence[int],
+                  radius: float, mask: str = "both") -> retrieval.EvalReport:
+    """Recall@K of ground queries, embedded under ``mask``, against a
+    database of the embedded references."""
+    db = retrieval.DescriptorDatabase(
+        ids=[ref.id for ref in references],
+        geos=np.array([ref.geo for ref in references], dtype=np.float64),
+        vectors=model.embed_aerial(references),
+    )
+    query_vecs = model.embed_ground(queries, mask=mask)
+    query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
+    return retrieval.recall_at_k(query_vecs, query_geos, db, ks=ks, radius=radius)
+
+
 def evaluate_recall(model: PlaceModel, dataset: TokenDataset,
                     settings: TrainSettings, split: str = "test",
                     mask: str = "both") -> dict[int, float]:
@@ -368,14 +383,5 @@ def evaluate_recall(model: PlaceModel, dataset: TokenDataset,
     queries = dataset.split_ground(split)
     if not queries or not dataset.aerial:
         return {k: float("nan") for k in settings.eval_ks}
-    db = retrieval.DescriptorDatabase(
-        ids=[ref.id for ref in dataset.aerial],
-        geos=np.array([ref.geo for ref in dataset.aerial], dtype=np.float64),
-        vectors=model.embed_aerial(dataset.aerial),
-    )
-    query_vecs = model.embed_ground(queries, mask=mask)
-    query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
-    report = retrieval.recall_at_k(
-        query_vecs, query_geos, db, ks=settings.eval_ks, radius=settings.eval_radius
-    )
-    return report.recalls
+    return recall_report(model, queries, dataset.aerial, settings.eval_ks,
+                         settings.eval_radius, mask).recalls

@@ -9,34 +9,18 @@ the flattened result to a fixed-size L2-normalized descriptor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import DimensionError
 
 
-@dataclass(frozen=True)
-class VlaqConfig:
-    num_queries: int = 64
-    proj_dim: int = 128
-    out_dim: int = 512
-
-    def validate(self) -> None:
-        if min(self.num_queries, self.proj_dim, self.out_dim) < 1:
-            raise ConfigurationError(
-                f"vlaq dims must be positive, got S={self.num_queries} "
-                f"D={self.proj_dim} out={self.out_dim}"
-            )
-
-
-def init_prototypes(config: VlaqConfig, rng: np.random.Generator,
+def init_prototypes(num_queries: int, proj_dim: int, rng: np.random.Generator,
                     dtype: np.dtype = ad.DEFAULT_DTYPE) -> np.ndarray:
     """Draw the initial S x D query bank, entries N(0, 1/sqrt(D))."""
-    config.validate()
-    scale = 1.0 / math.sqrt(config.proj_dim)
-    return rng.normal(0.0, scale, size=(config.num_queries, config.proj_dim)).astype(dtype)
+    scale = 1.0 / math.sqrt(proj_dim)
+    return rng.normal(0.0, scale, size=(num_queries, proj_dim)).astype(dtype)
 
 
 def assignment_weights(tokens: ad.Tensor, prototypes: ad.Tensor) -> ad.Tensor:

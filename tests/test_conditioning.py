@@ -10,7 +10,7 @@ import pytest
 from magvlaq import autodiff as ad
 from magvlaq import tokens, vlaq
 from magvlaq.errors import ConfigurationError, DimensionError
-from magvlaq.model import ModelConfig, PlaceModel, _mask_modalities
+from magvlaq.model import GroundBatch, ModelConfig, PlaceModel, _mask_modalities
 
 SYNTH = tokens.SynthConfig(
     num_places=3,
@@ -167,7 +167,7 @@ def test_heatmap_shows_the_bank_ground_forward_uses(dataset, aggregator):
             with ad.no_grad():
                 fwd = m.ground_forward(obs, mask=mask, conditioned=conditioned)
                 bank = m.prototypes if fwd.delta is None else m.adapt_prototypes(fwd.delta)
-                toks = m._ground_tokens(obs, _mask_modalities(mask))
+                toks = GroundBatch(m, [obs]).tokens(_mask_modalities(mask))[0]
                 want = vlaq.assignment_weights(toks, bank).value
             shifted = conditioned or (conditioned is None and aggregator == "ode-vlaq")
             assert (fwd.delta is not None) == shifted

@@ -166,10 +166,9 @@ def test_divergent_dynamics_name_the_step():
 
 def test_zero_dynamics_collapse_cascade_to_message_sum():
     rng = np.random.default_rng(2)
-    cfg = fusion.FusionConfig(fuse_dim=5, num_scales=3, steps=4, horizon=1.0)
     messages = [ad.Tensor(rng.standard_normal((1, 5))) for _ in range(3)]
     zero = _linear(np.zeros((5, 5)))
-    out = fusion.fuse(messages, [zero] * 3, "tanh", cfg).value
+    out = fusion.fuse(messages, [zero] * 3, "tanh", steps=4, horizon=1.0).value
     expect = sum(m.value for m in messages)
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -177,25 +176,25 @@ def test_zero_dynamics_collapse_cascade_to_message_sum():
 def test_cascade_order_feeds_deep_flows_into_shallow_initials():
     """With constant dynamics each flow adds its rate once per unit horizon,
     so the cascade output exposes how many flows each message passed through."""
-    cfg = fusion.FusionConfig(fuse_dim=1, num_scales=2, steps=4, horizon=1.0)
     m1 = ad.Tensor(np.array([[1.0]], dtype=np.float64))
     m2 = ad.Tensor(np.array([[10.0]], dtype=np.float64))
     bump = _linear([[0.0]], [[1.0]])
-    out = fusion.fuse([m1, m2], [bump, bump], "tanh", cfg).value
+    out = fusion.fuse([m1, m2], [bump, bump], "tanh", steps=4, horizon=1.0).value
     # deepest: 10 + 1; shallow init: 1 + 11 = 12; shallow flow: +1 -> 13
     np.testing.assert_allclose(out, [[13.0]], atol=1e-12)
 
 
 def test_fuse_checks_lengths_and_config():
-    cfg = fusion.FusionConfig(fuse_dim=2, num_scales=2)
-    msgs = [ad.Tensor(np.zeros((1, 2)))]
+    msgs = [ad.Tensor(np.zeros((1, 2)))] * 2
     identity = _linear(np.eye(2))
     with pytest.raises(ConfigurationError, match="expected 2"):
-        fusion.fuse(msgs, [identity], "tanh", cfg)
+        fusion.fuse(msgs, [identity], "tanh", 4, 1.0)
+    with pytest.raises(ConfigurationError, match="expected 0"):
+        fusion.fuse([], [], "tanh", 4, 1.0)
     with pytest.raises(ConfigurationError):
-        fusion.FusionConfig(steps=0).validate()
+        ModelConfig(ode_steps=0).validate()
     with pytest.raises(ConfigurationError):
-        fusion.FusionConfig(horizon=0.0).validate()
+        ModelConfig(horizon=0.0).validate()
     state = ad.Tensor(np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
         fusion.rk4_integrate(state, identity, steps=0, horizon=1.0)

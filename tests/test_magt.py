@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,3 +201,23 @@ def test_blob_past_end_is_truncation(tmp_path):
 def test_missing_file_propagates_os_error(tmp_path):
     with pytest.raises(OSError):
         magt.read_container(tmp_path / "nope.magt")
+
+
+def test_read_peaks_below_two_and_a_half_file_sizes(tmp_path):
+    """Reading holds the file's bytes and one copy of every tensor, and
+    takes no second copy of the blob region."""
+    rng = np.random.default_rng(0)
+    tensors = {f"t{i}": rng.standard_normal((256, 1024)).astype(np.float32)
+               for i in range(4)}
+    path = tmp_path / "big.magt"
+    size = magt.write_container(
+        [magt.ContainerEntry(meta={"id": "big", "kind": "test"}, tensors=tensors)], path
+    )
+    tracemalloc.start()
+    try:
+        back = magt.read_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back[0].tensors["t3"], tensors["t3"])
+    assert peak < 2.5 * size, f"peak {peak / size:.2f}x the file size"

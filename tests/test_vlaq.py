@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from magvlaq import autodiff as ad
 from magvlaq import vlaq
 from magvlaq.errors import ConfigurationError, DegenerateInputError, DimensionError
+from magvlaq.model import ModelConfig
 from oracles import brute_force_vlaq
 
 
@@ -140,11 +141,10 @@ def test_gradients_match_finite_differences():
 
 
 def test_prototype_init_scale_and_config_guard():
-    cfg = vlaq.VlaqConfig(num_queries=32, proj_dim=64, out_dim=128)
-    protos = vlaq.init_prototypes(cfg, np.random.default_rng(0))
+    protos = vlaq.init_prototypes(32, 64, np.random.default_rng(0))
     assert protos.shape == (32, 64)
     assert protos.dtype == np.float32
     observed = protos.std()
     assert 0.7 / np.sqrt(64) < observed < 1.3 / np.sqrt(64)
     with pytest.raises(ConfigurationError):
-        vlaq.VlaqConfig(num_queries=0).validate()
+        ModelConfig(num_queries=0).validate()
