@@ -4,7 +4,8 @@ Every differentiable operation builds a node in a dynamic graph that is
 rebuilt on each forward pass. Values are float32 by default (float64 graphs
 are supported and used by the gradient-check oracles); reductions such as
 softmax denominators and norms accumulate in float64 regardless of the
-graph dtype.
+graph dtype: the kernels work in place on one float64 copy of their input
+plus at most one scratch buffer, and take a mean as ``sum / n`` (np.mean's bits).
 """
 
 from __future__ import annotations
@@ -343,16 +344,17 @@ def softmax_columns(e) -> Tensor:
         raise DimensionError(
             f"softmax_columns needs a non-empty 2-D matrix, got shape {e.value.shape}"
         )
-    shifted = e.value.astype(np.float64)
-    shifted -= shifted.max(axis=0, keepdims=True)
-    ex = np.exp(shifted)
-    out64 = ex / ex.sum(axis=0, keepdims=True)
+    out64 = e.value.astype(np.float64)
+    out64 -= out64.max(axis=0, keepdims=True)
+    np.exp(out64, out=out64)
+    out64 /= out64.sum(axis=0, keepdims=True)
     out_value = out64.astype(e.value.dtype)
 
     def bw(out):
         g = out.grad.astype(np.float64)
-        dot = (out64 * g).sum(axis=0, keepdims=True)
-        e.accumulate_grad(out64 * (g - dot))
+        g -= (out64 * g).sum(axis=0, keepdims=True)
+        g *= out64
+        e.accumulate_grad(g)
 
     return Tensor(out_value, (e,), bw)
 
@@ -378,21 +380,26 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     g_row = gain.value.reshape(1, cols)
     b_row = bias.value.reshape(1, cols)
 
-    x64 = x.value.astype(np.float64)
-    mu = x64.mean(axis=1, keepdims=True)
-    var = ((x64 - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv
-    out_value = (xhat * g_row + b_row).astype(x.value.dtype)
+    xhat = x.value.astype(np.float64)
+    xhat -= xhat.sum(axis=1, keepdims=True) / cols
+    scratch = np.square(xhat)
+    inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / cols + eps)
+    xhat *= inv
+    np.multiply(xhat, g_row, out=scratch)
+    scratch += b_row
+    out_value = scratch.astype(x.value.dtype)
 
     def bw(out):
         g = out.grad.astype(np.float64)
-        gxhat = g * g_row
-        m1 = gxhat.mean(axis=1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
-        x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
-        gain.accumulate_grad((g * xhat).sum(axis=0).reshape(gain.value.shape))
+        scratch = g * xhat
+        gain.accumulate_grad(scratch.sum(axis=0).reshape(gain.value.shape))
         bias.accumulate_grad(g.sum(axis=0).reshape(bias.value.shape))
+        g *= g_row
+        np.multiply(g, xhat, out=scratch)
+        g -= g.sum(axis=1, keepdims=True) / cols
+        g -= np.multiply(xhat, scratch.sum(axis=1, keepdims=True) / cols, out=scratch)
+        g *= inv
+        x.accumulate_grad(g)
 
     return Tensor(out_value, (x, gain, bias), bw)
 
@@ -412,8 +419,8 @@ def _normalize_rows(x, strict: bool) -> Tensor:
     x = as_tensor(x)
     if x.value.ndim != 2:
         raise DimensionError(f"row normalization needs a 2-D input, got {x.value.shape}")
-    x64 = x.value.astype(np.float64)
-    norms = np.sqrt((x64**2).sum(axis=1, keepdims=True))
+    out64 = x.value.astype(np.float64)
+    norms = np.sqrt(np.square(out64).sum(axis=1, keepdims=True))
     live = norms > 1e-12
     if strict and not live.all():
         row = int(np.flatnonzero(~live)[0])
@@ -421,13 +428,18 @@ def _normalize_rows(x, strict: bool) -> Tensor:
             f"cannot normalize row {row} with norm {float(norms[row, 0]):.3e}"
         )
     safe = np.where(live, norms, 1.0)
-    out64 = np.where(live, x64 / safe, 0.0)
+    dead = ~live[:, 0]
+    out64 /= safe
+    out64[dead] = 0.0
     out_value = out64.astype(x.value.dtype)
 
     def bw(out):
         g = out.grad.astype(np.float64)
-        proj = (out64 * g).sum(axis=1, keepdims=True)
-        x.accumulate_grad(np.where(live, (g - out64 * proj) / safe, 0.0))
+        scratch = out64 * g
+        g -= np.multiply(out64, scratch.sum(axis=1, keepdims=True), out=scratch)
+        g /= safe
+        g[dead] = 0.0
+        x.accumulate_grad(g)
 
     return Tensor(out_value, (x,), bw)
 

@@ -8,6 +8,7 @@ divergent training).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -176,15 +177,17 @@ def _query_split(dataset: TokenDataset, split: str) -> list:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     run_config, model = load_checkpoint(args.checkpoint)
+    if args.radius_m is not None:
+        run_config = dataclasses.replace(run_config, eval_radius=args.radius_m)
+        run_config.validate()
     ks = _parse_ks(args.k) or tuple(run_config.eval_ks)
-    radius = args.radius_m if args.radius_m is not None else run_config.eval_radius
     dataset = _load_or_generate(args, run_config)
     queries = _query_split(dataset, args.split)
     if not queries:
         raise DatasetValidationError(f"no ground observations in split {args.split!r}")
 
-    report = training.recall_report(model, queries, dataset.aerial, ks, radius,
-                                    args.modality_mask)
+    report = training.recall_report(model, queries, dataset.aerial, ks,
+                                    run_config.eval_radius, args.modality_mask)
     line = report.to_json()
     print(line)
     if args.out:

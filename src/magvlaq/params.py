@@ -15,8 +15,8 @@ Layer = tuple[ad.Tensor, ad.Tensor]
 class ParamStore:
     """Registry of uniquely named parameter tensors plus Adam moments.
 
-    The first/second moment buffers share each parameter's shape and dtype;
-    ``step`` counts optimizer updates applied to the store as a whole.
+    Values are C-contiguous, and the first/second moment buffers share their
+    shape and dtype; ``step`` counts optimizer updates to the whole store.
     """
 
     def __init__(self) -> None:
@@ -28,7 +28,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> ad.Tensor:
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        tensor = ad.Tensor(value)
+        tensor = ad.Tensor(np.asarray(value, order="C"))
         self.params[name] = tensor
         self.first_moment[name] = np.zeros_like(tensor.value)
         self.second_moment[name] = np.zeros_like(tensor.value)
@@ -57,7 +57,7 @@ class ParamStore:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Replace parameter values; names and shapes must match.
 
-        An array that already has its parameter's dtype becomes the new value
+        A C-contiguous array of its parameter's dtype becomes the new value
         without a copy, so the caller must not modify it afterwards.
         """
         missing = set(self.params) - set(values)
@@ -72,7 +72,7 @@ class ParamStore:
                 raise ConfigurationError(
                     f"parameter {name!r}: stored shape {arr.shape} != expected {tensor.value.shape}"
                 )
-            tensor.value = arr.astype(tensor.value.dtype, copy=False)
+            tensor.value = np.asarray(arr, dtype=tensor.value.dtype, order="C")
             tensor.zero_grad()
 
 

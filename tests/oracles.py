@@ -9,7 +9,13 @@ import numpy as np
 
 from magvlaq import autodiff as ad
 from magvlaq import retrieval, training
-from magvlaq.errors import ContractError, DegenerateInputError, DivergenceError
+from magvlaq.autodiff import Tensor, as_tensor
+from magvlaq.errors import (
+    ContractError,
+    DegenerateInputError,
+    DimensionError,
+    DivergenceError,
+)
 from magvlaq.model import PlaceModel
 from magvlaq.params import ParamStore
 
@@ -70,6 +76,101 @@ def brute_force_vlaq(tokens: np.ndarray, prototypes: np.ndarray,
     if norm <= 1e-12:
         raise DegenerateInputError("descriptor norm vanished in reference aggregation")
     return np.array([[v / norm for v in out]], dtype=np.float64)
+
+
+# The float64 kernels as they ran with a fresh array per intermediate:
+# autodiff.softmax_columns, layer_norm and the row normalization behind
+# l2_normalize / l2_normalize_rows must match them bit for bit, values and
+# every input gradient.
+
+
+def softmax_columns(e) -> Tensor:
+    """Column-wise softmax of an N x S matrix: each column sums to 1.
+
+    Normalization runs over the row (token) axis with max-subtraction and a
+    float64 denominator for stability under large-magnitude logits.
+    """
+    e = as_tensor(e)
+    if e.value.ndim != 2 or e.value.size == 0:
+        raise DimensionError(
+            f"softmax_columns needs a non-empty 2-D matrix, got shape {e.value.shape}"
+        )
+    shifted = e.value.astype(np.float64)
+    shifted -= shifted.max(axis=0, keepdims=True)
+    ex = np.exp(shifted)
+    out64 = ex / ex.sum(axis=0, keepdims=True)
+    out_value = out64.astype(e.value.dtype)
+
+    def bw(out):
+        g = out.grad.astype(np.float64)
+        dot = (out64 * g).sum(axis=0, keepdims=True)
+        e.accumulate_grad(out64 * (g - dot))
+
+    return Tensor(out_value, (e,), bw)
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Per-row normalization over the feature axis, then an affine map.
+
+    Each row is shifted to mean 0 and scaled to unit variance (population
+    variance plus ``eps``) before ``gain``/``bias`` are applied.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    if x.value.ndim != 2:
+        raise DimensionError(f"layer_norm needs a 2-D input, got shape {x.value.shape}")
+    cols = x.value.shape[1]
+    if cols < 2:
+        raise DegenerateInputError(
+            f"layer_norm over {cols} feature(s) is degenerate; need at least 2"
+        )
+    if gain.value.size != cols or bias.value.size != cols:
+        raise DimensionError(
+            f"gain/bias sizes {gain.value.size}/{bias.value.size} do not match {cols} columns"
+        )
+    g_row = gain.value.reshape(1, cols)
+    b_row = bias.value.reshape(1, cols)
+
+    x64 = x.value.astype(np.float64)
+    mu = x64.mean(axis=1, keepdims=True)
+    var = ((x64 - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x64 - mu) * inv
+    out_value = (xhat * g_row + b_row).astype(x.value.dtype)
+
+    def bw(out):
+        g = out.grad.astype(np.float64)
+        gxhat = g * g_row
+        m1 = gxhat.mean(axis=1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=1, keepdims=True)
+        x.accumulate_grad(inv * (gxhat - m1 - xhat * m2))
+        gain.accumulate_grad((g * xhat).sum(axis=0).reshape(gain.value.shape))
+        bias.accumulate_grad(g.sum(axis=0).reshape(bias.value.shape))
+
+    return Tensor(out_value, (x, gain, bias), bw)
+
+
+def normalize_rows(x, strict: bool) -> Tensor:
+    x = as_tensor(x)
+    if x.value.ndim != 2:
+        raise DimensionError(f"row normalization needs a 2-D input, got {x.value.shape}")
+    x64 = x.value.astype(np.float64)
+    norms = np.sqrt((x64**2).sum(axis=1, keepdims=True))
+    live = norms > 1e-12
+    if strict and not live.all():
+        row = int(np.flatnonzero(~live)[0])
+        raise DegenerateInputError(
+            f"cannot normalize row {row} with norm {float(norms[row, 0]):.3e}"
+        )
+    safe = np.where(live, norms, 1.0)
+    out64 = np.where(live, x64 / safe, 0.0)
+    out_value = out64.astype(x.value.dtype)
+
+    def bw(out):
+        g = out.grad.astype(np.float64)
+        proj = (out64 * g).sum(axis=1, keepdims=True)
+        x.accumulate_grad(np.where(live, (g - out64 * proj) / safe, 0.0))
+
+    return Tensor(out_value, (x,), bw)
 
 
 # RK4 unrolled on the autodiff tape with arbitrary dynamics: about 30 nodes

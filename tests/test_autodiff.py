@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from magvlaq import autodiff as ad
 from magvlaq.errors import (
     ConfigurationError,
@@ -280,6 +282,83 @@ def test_l2_normalize_rows_zero_rows_pass_through():
     loss = ad.sum_all(ad.l2_normalize_rows(t))
     ad.backward(loss)
     np.testing.assert_allclose(t.grad[1], [0.0, 0.0])
+
+
+LEAN_KERNELS = {
+    "layer_norm": (ad.layer_norm, oracles.layer_norm),
+    "softmax_columns": (ad.softmax_columns, oracles.softmax_columns),
+    "l2_normalize": (ad.l2_normalize, lambda x: oracles.normalize_rows(x, strict=True)),
+    "l2_normalize_rows": (
+        ad.l2_normalize_rows, lambda x: oracles.normalize_rows(x, strict=False)
+    ),
+}
+
+
+def _kernel_inputs(name, shape, dtype, scale):
+    rng = np.random.default_rng([*shape, len(name)])
+    x = scale * rng.standard_normal(shape) + rng.standard_normal()
+    if name == "l2_normalize_rows":
+        x[1::3] = 0.0
+    arrays = [x]
+    if name == "layer_norm":
+        arrays += [rng.standard_normal((1, shape[1])), rng.standard_normal((1, shape[1]))]
+    return [a.astype(dtype) for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 2), (3, 8), (64, 128), (4096, 128)])
+@pytest.mark.parametrize("name,scale", [
+    ("layer_norm", 1.0),
+    ("softmax_columns", 1.0),
+    ("softmax_columns", 1e3),
+    ("l2_normalize", 1.0),
+    ("l2_normalize_rows", 1.0),
+])
+def test_float64_kernels_match_their_oracles_bit_for_bit(name, scale, shape, dtype):
+    arrays = _kernel_inputs(name, shape, dtype, scale)
+    upstream = np.random.default_rng(shape).standard_normal(shape).astype(dtype)
+    results = []
+    for kernel in LEAN_KERNELS[name]:
+        inputs = [ad.Tensor(a.copy()) for a in arrays]
+        out = kernel(*inputs)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        results.append([out.value, *(t.grad for t in inputs)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_l2_normalize_names_the_same_degenerate_row_as_its_oracle(dtype):
+    x = np.array([[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]], dtype=dtype)
+    with pytest.raises(DegenerateInputError) as lean:
+        ad.l2_normalize(ad.Tensor(x))
+    with pytest.raises(DegenerateInputError) as oracle:
+        oracles.normalize_rows(ad.Tensor(x), strict=True)
+    assert str(lean.value) == str(oracle.value)
+    assert "row 1" in str(lean.value)
+
+
+def test_layer_norm_peaks_at_three_float64_copies_of_its_input():
+    rng = np.random.default_rng(12)
+    x = ad.Tensor(rng.standard_normal((4096, 128)).astype(np.float32))
+    gain = ad.Tensor(np.ones((1, 128), dtype=np.float32))
+    bias = ad.Tensor(np.zeros((1, 128), dtype=np.float32))
+    upstream = rng.standard_normal((4096, 128)).astype(np.float32)
+    limit = 3 * x.value.size * 8
+    tracemalloc.start()
+    try:
+        out = ad.layer_norm(x, gain, bias)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        out.accumulate_grad(upstream)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out._backward(out)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= limit, forward_peak
+    assert backward_peak <= limit, backward_peak
 
 
 def test_sqrt_with_eps_is_differentiable_at_zero():

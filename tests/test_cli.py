@@ -249,6 +249,33 @@ def test_bad_k_argument_exits_2(trained, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["-5", "nan", "inf"])
+def test_bad_radius_override_exits_2(trained, capsys, radius):
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   "--radius-m", radius])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "radius" in captured.err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eval_radius", -1.0),
+    ("eval_radius", float("nan")),
+    ("w_triplet", float("nan")),
+    ("w_aux", float("inf")),
+    ("w_shift", float("-inf")),
+])
+def test_bad_radius_or_loss_weight_in_config_exits_2(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, key: value}))
+    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert not (tmp_path / "run").exists()
+    err = capsys.readouterr().err
+    assert ("radius" if key == "eval_radius" else "loss weight") in err
+
+
 def test_missing_files_exit_3(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.magt")]) == 3
     assert cli.main(["inspect", str(tmp_path / "none.magt")]) == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,7 +194,9 @@ def test_adam_matches_reference_trajectory():
 
 def test_adam_step_is_bit_identical_to_the_reference_formula():
     rng = np.random.default_rng(2)
-    shapes = {"a": (3, 4), "b": (1, 5), "c": (7, 2)}
+    # "d" spans three full blocks and a ragged one; "e" is a single element
+    shapes = {"a": (3, 4), "b": (1, 5), "c": (7, 2),
+              "d": (1, 3 * training.ADAM_BLOCK + 17), "e": (1, 1)}
     stores = []
     for _ in range(2):
         store = ParamStore()
@@ -239,6 +242,47 @@ def test_non_finite_gradient_raises_before_any_mutation():
     np.testing.assert_array_equal(a.value, np.ones((1, 2)))
     np.testing.assert_array_equal(b.value, np.ones((1, 2)))
     assert store.step == 0
+
+
+def test_nan_in_the_ragged_last_block_raises_before_any_mutation():
+    rng = np.random.default_rng(5)
+    store = ParamStore()
+    store.add("a.small", rng.standard_normal((2, 3)).astype(np.float32))
+    store.add("z.large", rng.standard_normal((1, 2 * training.ADAM_BLOCK + 5)).astype(np.float32))
+    for _, p in store.items():
+        p.accumulate_grad(rng.standard_normal(p.value.shape))
+    training.adam_step(store, lr=0.1)
+    before = {
+        name: (p.value.tobytes(), store.first_moment[name].tobytes(),
+               store.second_moment[name].tobytes())
+        for name, p in store.items()
+    }
+    for _, p in store.items():
+        p.accumulate_grad(rng.standard_normal(p.value.shape))
+    # "a.small" is updated first, so checking as the update goes would move it
+    store["z.large"].grad[0, -1] = np.nan
+    with pytest.raises(DivergenceError, match="z.large"):
+        training.adam_step(store, lr=0.1)
+    assert store.step == 1
+    for name, p in store.items():
+        after = (p.value.tobytes(), store.first_moment[name].tobytes(),
+                 store.second_moment[name].tobytes())
+        assert after == before[name], name
+
+
+def test_adam_step_scratch_stays_below_half_the_largest_parameter():
+    store = PlaceModel(ModelConfig(), seed=0).store
+    rng = np.random.default_rng(6)
+    for _, p in store.items():
+        p.accumulate_grad(rng.standard_normal(p.value.shape).astype(p.value.dtype))
+    largest = max(p.value.nbytes for _, p in store.items())
+    tracemalloc.start()
+    try:
+        training.adam_step(store, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 2, (peak, largest)
 
 
 @pytest.fixture(scope="module")
