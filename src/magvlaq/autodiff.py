@@ -302,33 +302,12 @@ def mean_rows(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_value = np.tanh(a.value)
-
-    def bw(out):
-        a.accumulate_grad(out.grad * (1.0 - out.value * out.value))
-
-    return Tensor(out_value, (a,), bw)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out_value = np.maximum(a.value, 0)
 
     def bw(out):
         a.accumulate_grad(out.grad * (a.value > 0))
-
-    return Tensor(out_value, (a,), bw)
-
-
-def sqrt(a, eps: float = 0.0) -> Tensor:
-    """Elementwise sqrt(a + eps); eps > 0 keeps the gradient finite at 0."""
-    a = as_tensor(a)
-    out_value = np.sqrt(a.value + eps)
-
-    def bw(out):
-        a.accumulate_grad(out.grad * 0.5 / out.value)
 
     return Tensor(out_value, (a,), bw)
 
@@ -471,30 +450,77 @@ def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
     return Tensor(out_value, (a, b), bw)
 
 
+def check_mlp(x: np.ndarray, weights: Sequence, activation: str) -> int:
+    """Validate an MLP on the 2-D input x: the activation and the width chain
+    of its (W, b) arrays. Returns the MLP's output width."""
+    if activation not in ("tanh", "relu"):
+        raise ConfigurationError(f"unknown activation {activation!r}")
+    if not weights:
+        raise ConfigurationError("an MLP needs at least one layer")
+    if x.ndim != 2:
+        raise DimensionError(f"an MLP input must be 2-D, got shape {x.shape}")
+    width = x.shape[1]
+    for i, (w, _) in enumerate(weights):
+        if w.ndim != 2 or w.shape[0] != width:
+            raise ConfigurationError(
+                f"layer {i}: input width {width} does not chain with weight "
+                f"shape {w.shape}"
+            )
+        width = w.shape[1]
+    return width
+
+
+def mlp_values(x: np.ndarray, weights: Sequence, activation: str
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An MLP's value at x, and the input of each of its layers: ``weights``
+    holds (W, b) arrays, and the activation sits between layers."""
+    inputs = [x]
+    for w, b in weights[:-1]:
+        x = x @ w + b
+        x = np.tanh(x, out=x) if activation == "tanh" else np.maximum(x, 0, out=x)
+        inputs.append(x)
+    w, b = weights[-1]
+    return x @ w + b, inputs
+
+
+def mlp_backward(weights: Sequence, inputs: Sequence[np.ndarray], g: np.ndarray,
+                 g_w: Sequence[np.ndarray], g_b: Sequence[np.ndarray],
+                 activation: str) -> np.ndarray:
+    """Reverse sweep of ``mlp_values`` for the output gradient g: adds each
+    layer's gradients into the caller's buffers g_w[j] and g_b[j], and
+    returns the gradient at the MLP's input."""
+    for j in range(len(weights) - 1, -1, -1):
+        x = inputs[j]
+        g_w[j] += x.T @ g
+        g_b[j] += g.sum(axis=0)
+        g = g @ weights[j][0].T
+        if j:
+            g = g * (1.0 - x * x) if activation == "tanh" else g * (x > 0)
+    return g
+
+
 def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
-    """Apply a stack of (weight, bias) layers; the final layer has no activation.
+    """Apply a stack of (weight, bias) layers as one node; the final layer
+    has no activation.
 
     ``layers`` holds (W, b) pairs with W of shape (in, out) and b of shape
     (1, out); consecutive widths must chain with the input's column count.
     """
-    if activation not in ("tanh", "relu"):
-        raise ConfigurationError(f"unknown activation {activation!r}")
-    act = tanh if activation == "tanh" else relu
-    h = as_tensor(x)
-    n_layers = len(layers)
-    if n_layers == 0:
-        raise ConfigurationError("mlp_forward needs at least one layer")
-    for i, (w, b) in enumerate(layers):
-        w, b = as_tensor(w), as_tensor(b)
-        if h.value.shape[1] != w.value.shape[0]:
-            raise ConfigurationError(
-                f"layer {i}: input width {h.value.shape[1]} does not chain with "
-                f"weight shape {w.value.shape}"
-            )
-        h = add(matmul(h, w), b)
-        if i < n_layers - 1:
-            h = act(h)
-    return h
+    x = as_tensor(x)
+    params = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    weights = [(w.value, b.value) for w, b in params]
+    check_mlp(x.value, weights, activation)
+    out_value, inputs = mlp_values(x.value, weights, activation)
+
+    def bw(out):
+        g_w = [np.zeros_like(w) for w, _ in weights]
+        g_b = [np.zeros_like(b) for _, b in weights]
+        x.accumulate_grad(mlp_backward(weights, inputs, out.grad, g_w, g_b, activation))
+        for (w, b), gw, gb in zip(params, g_w, g_b):
+            w.accumulate_grad(gw)
+            b.accumulate_grad(gb)
+
+    return Tensor(out_value, (x, *(t for layer in params for t in layer)), bw)
 
 
 def _topo_order(root: Tensor) -> list:

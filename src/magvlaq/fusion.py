@@ -14,66 +14,41 @@ gradients are the exact gradients of the discrete solve
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError, DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .params import Layer
-
-
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0)
 
 
 def rk4_integrate(state, layers: Sequence[Layer], steps: int, horizon: float,
                   activation: str = "tanh") -> ad.Tensor:
     """Integrate y' = mlp(y) from 0 to horizon with classic RK4, as one node.
 
-    ``layers`` holds (W, b) pairs as in ``autodiff.mlp_forward``: the
-    activation sits between layers, and the last layer's width must equal
-    the state's. The forward keeps the operation order of the unrolled
-    solver (``rk4_unrolled`` in tests/oracles.py), so its output is
-    bit-identical to it. With a tape, the input of every layer at every
+    ``layers`` holds (W, b) pairs as in ``autodiff.mlp_forward``, and every
+    stage runs that MLP's numpy forward and reverse sweep; the last layer's
+    width must equal the state's. The forward keeps the operation order of
+    the unrolled solver (``rk4_unrolled`` in tests/oracles.py), so its output
+    is bit-identical to it. With a tape, the input of every layer at every
     stage is kept, and the backward sweeps the solve in reverse: the exact
     gradient of the unrolled solver. Under no_grad nothing is kept. Raises
     DivergenceError naming the first step whose state stops being finite.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    if activation not in ("tanh", "relu"):
-        raise ConfigurationError(f"unknown activation {activation!r}")
-    if not layers:
-        raise ConfigurationError("rk4_integrate needs at least one dynamics layer")
     state = ad.as_tensor(state)
-    if state.value.ndim != 2:
-        raise DimensionError(f"the state must be 2-D, got shape {state.value.shape}")
     params = [(ad.as_tensor(w), ad.as_tensor(b)) for w, b in layers]
-    width = state.value.shape[1]
-    for i, (w, _) in enumerate(params):
-        if w.value.ndim != 2 or w.value.shape[0] != width:
-            raise ConfigurationError(
-                f"layer {i}: input width {width} does not chain with weight "
-                f"shape {w.value.shape}"
-            )
-        width = w.value.shape[1]
+    weights = [(w.value, b.value) for w, b in params]
+    width = ad.check_mlp(state.value, weights, activation)
     if width != state.value.shape[1]:
         raise ConfigurationError(
             f"dynamics output width {width} does not match the state width "
             f"{state.value.shape[1]}"
         )
-    weights = [(w.value, b.value) for w, b in params]
-    act = np.tanh if activation == "tanh" else _relu
-
-    def dynamics(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The MLP's value at x, and the input of each of its layers."""
-        inputs = [x]
-        for w, b in weights[:-1]:
-            x = act(x @ w + b)
-            inputs.append(x)
-        w, b = weights[-1]
-        return x @ w + b, inputs
+    dynamics = functools.partial(ad.mlp_values, weights=weights, activation=activation)
 
     keep = ad.grad_enabled()
     tape = []
@@ -95,26 +70,15 @@ def rk4_integrate(state, layers: Sequence[Layer], steps: int, horizon: float,
     def backward(out: ad.Tensor) -> None:
         g_w = [np.zeros_like(w) for w, _ in weights]
         g_b = [np.zeros_like(b) for _, b in weights]
-
-        def dynamics_vjp(inputs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
-            """Gradient at the stage input; adds the stage's weight gradients
-            to g_w and g_b."""
-            for j in range(len(weights) - 1, -1, -1):
-                x = inputs[j]
-                g_w[j] += x.T @ g
-                g_b[j] += g.sum(axis=0)
-                g = g @ weights[j][0].T
-                if j:
-                    g = g * (1.0 - x * x) if activation == "tanh" else g * (x > 0)
-            return g
-
+        vjp = functools.partial(ad.mlp_backward, weights, g_w=g_w, g_b=g_b,
+                                activation=activation)
         g_y = out.grad
         for in1, in2, in3, in4 in reversed(tape):
             g_inc = g_y * (h / 6.0)
-            g4 = dynamics_vjp(in4, g_inc)
-            g3 = dynamics_vjp(in3, g_inc * 2.0 + g4 * h)
-            g2 = dynamics_vjp(in2, g_inc * 2.0 + g3 * (h / 2.0))
-            g1 = dynamics_vjp(in1, g_inc + g2 * (h / 2.0))
+            g4 = vjp(in4, g_inc)
+            g3 = vjp(in3, g_inc * 2.0 + g4 * h)
+            g2 = vjp(in2, g_inc * 2.0 + g3 * (h / 2.0))
+            g1 = vjp(in1, g_inc + g2 * (h / 2.0))
             g_y = g_y + g1 + g2 + g3 + g4
         state.accumulate_grad(g_y)
         for (w, b), gw, gb in zip(params, g_w, g_b):

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion, vlaq
 from .errors import ConfigurationError, DimensionError
-from .params import Layer, ParamStore, init_mlp
+from .params import Layer, ParamStore, init_mlp, init_weight
 from .tokens import AerialReference, GroundObservation
 
 AGGREGATORS = ("pooling", "static-vlaq", "ode-vlaq")
@@ -114,17 +114,11 @@ class PlaceModel:
         self.dtype = np.dtype(dtype)
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-
-        def linear_weight(name: str, fan_in: int, fan_out: int) -> ad.Tensor:
-            scale = 1.0 / math.sqrt(fan_in)
-            value = rng.normal(0.0, scale, size=(fan_in, fan_out)).astype(self.dtype)
-            return self.store.add(name, value)
-
         c = config
         self.proj = {
-            "image": linear_weight("proj.image.w", c.raw_dim, c.proj_dim),
-            "lidar": linear_weight("proj.lidar.w", c.raw_dim, c.proj_dim),
-            "aerial": linear_weight("proj.aerial.w", c.raw_dim, c.proj_dim),
+            m: init_weight(self.store, f"proj.{m}.w", c.raw_dim, c.proj_dim, rng,
+                           dtype=self.dtype)
+            for m in ("image", "lidar", "aerial")
         }
         self.ln = {}
         for modality in ("image", "lidar"):
@@ -138,10 +132,10 @@ class PlaceModel:
         self.prototypes = self.store.add(
             "prototypes", vlaq.init_prototypes(c.num_queries, c.proj_dim, rng, self.dtype)
         )
-        self.agg_proj = linear_weight(
-            "agg.proj.w", c.num_queries * c.proj_dim, c.out_dim
-        )
-        self.pool_proj = linear_weight("pool.proj.w", c.proj_dim, c.out_dim)
+        self.agg_proj = init_weight(self.store, "agg.proj.w", c.num_queries * c.proj_dim,
+                                    c.out_dim, rng, dtype=self.dtype)
+        self.pool_proj = init_weight(self.store, "pool.proj.w", c.proj_dim, c.out_dim,
+                                     rng, dtype=self.dtype)
 
         self.msg_layers: dict[str, list[list[Layer]]] = {"image": [], "lidar": []}
         self.dyn_layers: list[list[Layer]] = []

@@ -76,6 +76,13 @@ class ParamStore:
             tensor.zero_grad()
 
 
+def init_weight(store: ParamStore, name: str, fan_in: int, fan_out: int,
+                rng: np.random.Generator, dtype=np.float32) -> ad.Tensor:
+    """Register one (fan_in, fan_out) weight drawn with std 1/sqrt(fan_in)."""
+    w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)).astype(dtype)
+    return store.add(name, w)
+
+
 def init_linear(
     store: ParamStore,
     prefix: str,
@@ -87,11 +94,10 @@ def init_linear(
 ) -> Layer:
     """Register one (weight, bias) pair; weight std is 1/sqrt(fan_in)."""
     if zero:
-        w = np.zeros((fan_in, fan_out), dtype=dtype)
+        w = store.add(f"{prefix}.w", np.zeros((fan_in, fan_out), dtype=dtype))
     else:
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)).astype(dtype)
-    b = np.zeros((1, fan_out), dtype=dtype)
-    return store.add(f"{prefix}.w", w), store.add(f"{prefix}.b", b)
+        w = init_weight(store, f"{prefix}.w", fan_in, fan_out, rng, dtype)
+    return w, store.add(f"{prefix}.b", np.zeros((1, fan_out), dtype=dtype))
 
 
 def init_mlp(

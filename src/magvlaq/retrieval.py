@@ -148,7 +148,8 @@ def knn_search(query_vecs: np.ndarray, db: DescriptorDatabase,
 
 @dataclass
 class EvalReport:
-    """Recall@K over queries that have at least one in-radius reference."""
+    """Recall@K over queries that have at least one in-radius reference;
+    with no such query every recall is NaN, and null in the JSON."""
 
     recalls: dict[int, float]
     num_queries: int
@@ -162,9 +163,11 @@ class EvalReport:
             "evaluated": self.evaluated,
             "excluded_no_relevant": self.excluded_no_relevant,
             "radius_m": self.radius,
-            "recalls": {str(k): self.recalls[k] for k in sorted(self.recalls)},
+            "recalls": {str(k): None if np.isnan(v) else v
+                        for k, v in sorted(self.recalls.items())},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
 
 def recall_at_k(query_vecs: np.ndarray, query_geos: np.ndarray,

@@ -206,7 +206,9 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     not change its bits. Gradients are cleared after the update.
     """
     for name, p in store.items():
-        if p._grad is not None and not np.isfinite(p._grad).all():
+        # NaN reaches both extremes and an infinity one, with no full-size mask
+        g = p._grad
+        if g is not None and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise DivergenceError(f"non-finite gradient in parameter {name!r}")
     store.step += 1
     t = store.step

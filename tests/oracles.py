@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from magvlaq import autodiff as ad
 from magvlaq import retrieval, training
 from magvlaq.autodiff import Tensor, as_tensor
 from magvlaq.errors import (
+    ConfigurationError,
     ContractError,
     DegenerateInputError,
     DimensionError,
@@ -173,6 +174,59 @@ def normalize_rows(x, strict: bool) -> Tensor:
     return Tensor(out_value, (x,), bw)
 
 
+# The MLP and the ops it was composed of before it became one node:
+# autodiff.mlp_forward must match this composition bit for bit in its value,
+# and in every gradient up to the sign of zero. sqrt has no caller in
+# the package; pair_distance below uses it.
+
+
+def tanh(a) -> Tensor:
+    a = as_tensor(a)
+    out_value = np.tanh(a.value)
+
+    def bw(out):
+        a.accumulate_grad(out.grad * (1.0 - out.value * out.value))
+
+    return Tensor(out_value, (a,), bw)
+
+
+def sqrt(a, eps: float = 0.0) -> Tensor:
+    """Elementwise sqrt(a + eps); eps > 0 keeps the gradient finite at 0."""
+    a = as_tensor(a)
+    out_value = np.sqrt(a.value + eps)
+
+    def bw(out):
+        a.accumulate_grad(out.grad * 0.5 / out.value)
+
+    return Tensor(out_value, (a,), bw)
+
+
+def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
+    """Apply a stack of (weight, bias) layers; the final layer has no activation.
+
+    ``layers`` holds (W, b) pairs with W of shape (in, out) and b of shape
+    (1, out); consecutive widths must chain with the input's column count.
+    """
+    if activation not in ("tanh", "relu"):
+        raise ConfigurationError(f"unknown activation {activation!r}")
+    act = tanh if activation == "tanh" else ad.relu
+    h = as_tensor(x)
+    n_layers = len(layers)
+    if n_layers == 0:
+        raise ConfigurationError("mlp_forward needs at least one layer")
+    for i, (w, b) in enumerate(layers):
+        w, b = as_tensor(w), as_tensor(b)
+        if h.value.shape[1] != w.value.shape[0]:
+            raise ConfigurationError(
+                f"layer {i}: input width {h.value.shape[1]} does not chain with "
+                f"weight shape {w.value.shape}"
+            )
+        h = ad.add(ad.matmul(h, w), b)
+        if i < n_layers - 1:
+            h = act(h)
+    return h
+
+
 # RK4 unrolled on the autodiff tape with arbitrary dynamics: about 30 nodes
 # per step. fusion.rk4_integrate must match its output bit for bit when the
 # dynamics are the same MLP, and its gradients up to summation order.
@@ -215,7 +269,7 @@ def _const(value: float, like: ad.Tensor) -> ad.Tensor:
 def pair_distance(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Differentiable Euclidean distance between two descriptor rows."""
     diff = ad.sub(a, b)
-    return ad.sqrt(ad.sum_all(ad.mul(diff, diff)), eps=1e-12)
+    return sqrt(ad.sum_all(ad.mul(diff, diff)), eps=1e-12)
 
 
 def _mean(terms: list[ad.Tensor]) -> ad.Tensor:

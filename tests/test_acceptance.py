@@ -24,7 +24,7 @@ from magvlaq.config import RunConfig
 from magvlaq.model import ModelConfig, PlaceModel
 from magvlaq.tokens import SynthConfig
 from magvlaq.training import MiningThresholds, TrainSettings
-from oracles import brute_force_vlaq
+from oracles import brute_force_vlaq, mlp_forward
 
 ARTIFACTS: dict[str, dict] = {}
 VERDICTS: list[str] = []
@@ -235,7 +235,7 @@ def test_zero_dynamics_reduce_fusion_to_message_sum():
                         pooled = ad.mean_rows(
                             model.project_tokens(ts.scales[idx], modality)
                         )
-                        expected += ad.mlp_forward(
+                        expected += mlp_forward(
                             pooled,
                             model.msg_layers[modality][idx],
                             activation=cfg.activation,

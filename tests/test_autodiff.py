@@ -63,7 +63,7 @@ def test_elementwise_and_matmul_gradients():
     w = ad.Tensor(_rand(rng, 4, 2))
     b = ad.Tensor(_rand(rng, 1, 2))
     _fd_check(
-        lambda: ad.sum_all(ad.tanh(ad.add(ad.matmul(x, w), b))),
+        lambda: ad.sum_all(oracles.tanh(ad.add(ad.matmul(x, w), b))),
         [x, w, b],
     )
 
@@ -363,7 +363,7 @@ def test_layer_norm_peaks_at_three_float64_copies_of_its_input():
 
 def test_sqrt_with_eps_is_differentiable_at_zero():
     x = ad.Tensor(np.array([[0.0]]))
-    out = ad.sqrt(x, eps=1e-12)
+    out = oracles.sqrt(x, eps=1e-12)
     ad.backward(out)
     assert np.isfinite(x.grad).all()
 
@@ -389,6 +389,40 @@ def test_mlp_forward_rejects_bad_chain_and_activation():
         ad.mlp_forward(x, [(ad.Tensor(np.ones((3, 2))), b)], activation="gelu")
     with pytest.raises(ConfigurationError, match="at least one"):
         ad.mlp_forward(x, [])
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_forward_matches_the_composed_oracle(dtype, activation, depth, rows):
+    """One node equals the matmul/add/activation chain: the value bit for
+    bit, the input and every W/b gradient exactly (up to the sign of zero)."""
+    rng = np.random.default_rng([rows, depth, len(activation)])
+    widths = (6, *([7] * (depth - 1)), 5)
+    x = ad.Tensor(rng.standard_normal((rows, widths[0])).astype(dtype))
+    layers = [
+        (ad.Tensor((rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)).astype(dtype)),
+         ad.Tensor((rng.standard_normal((1, fan_out)) * 0.5).astype(dtype)))
+        for fan_in, fan_out in zip(widths, widths[1:])
+    ]
+    probe = ad.constant(rng.standard_normal((rows, widths[-1])).astype(dtype))
+    leaves = [x, *(t for layer in layers for t in layer)]
+
+    def run(mlp):
+        out = mlp(x, layers, activation)
+        ad.backward(ad.sum_all(ad.mul(out, probe)))
+        grads = [p.grad.copy() for p in leaves]
+        for p in leaves:
+            p.zero_grad()
+        return out.value, grads
+
+    (got, got_grads), (want, want_grads) = run(ad.mlp_forward), run(oracles.mlp_forward)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
 
 
 def test_relu_mlp_gradient():

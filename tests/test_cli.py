@@ -259,6 +259,22 @@ def test_bad_radius_override_exits_2(trained, capsys, radius):
     assert "radius" in captured.err
 
 
+def test_eval_with_no_in_radius_reference_prints_null_recalls(trained, capsys):
+    """A zero radius leaves no query with a relevant reference: every recall
+    is undefined and prints as null, which strict JSON accepts."""
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   "--split", "all", "--radius-m", "0"])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    report = json.loads(capsys.readouterr().out.splitlines()[0], parse_constant=reject)
+    assert report["evaluated"] == 0
+    assert report["excluded_no_relevant"] == report["num_queries"] > 0
+    assert report["recalls"] == {"1": None, "10": None, "5": None}
+
+
 @pytest.mark.parametrize("key,value", [
     ("eval_radius", -1.0),
     ("eval_radius", float("nan")),

@@ -14,7 +14,7 @@ from magvlaq import autodiff as ad
 from magvlaq import fusion, tokens
 from magvlaq.errors import ConfigurationError, DivergenceError
 from magvlaq.model import ModelConfig, PlaceModel
-from oracles import rk4_unrolled
+from oracles import mlp_forward, rk4_unrolled
 
 
 def _linear(w, b=None) -> list[tuple[ad.Tensor, ad.Tensor]]:
@@ -37,7 +37,7 @@ def _random_layers(rng, widths, dtype, gain=1.0):
 
 def _oracle(state, layers, steps, horizon, activation):
     return rk4_unrolled(
-        state, lambda y: ad.mlp_forward(y, layers, activation), steps, horizon
+        state, lambda y: mlp_forward(y, layers, activation), steps, horizon
     )
 
 
@@ -226,7 +226,7 @@ def test_fusion_embedding_at_init_sums_modality_messages():
         with ad.no_grad():
             got = model.fusion_embedding(obs, modalities).value
             want = sum(
-                ad.mlp_forward(
+                mlp_forward(
                     ad.mean_rows(model.project_tokens(
                         getattr(obs, modality).scales[idx], modality
                     )),
@@ -238,21 +238,41 @@ def test_fusion_embedding_at_init_sums_modality_messages():
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-def test_fusion_embedding_records_one_node_per_flow():
-    """With a tape, each scale's flow is one graph node: the only node with
-    that scale's dynamics weights as parents."""
-    model = PlaceModel(SMALL_MODEL, seed=3)
-    obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
-    out = model.fusion_embedding(obs)
-    nodes, stack, seen = [], [out], set()
+def _graph_nodes(root) -> list:
+    """Every node reachable from root through its parents."""
+    nodes, stack, seen = [], [root], set()
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
+    return nodes
+
+
+def test_fusion_embedding_records_one_node_per_flow():
+    """With a tape, each scale's flow is one graph node: the only node with
+    that scale's dynamics weights as parents."""
+    model = PlaceModel(SMALL_MODEL, seed=3)
+    obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
+    nodes = _graph_nodes(model.fusion_embedding(obs))
     for layers in model.dyn_layers:
         params = {id(t) for layer in layers for t in layer}
         flows = [n for n in nodes if params & {id(p) for p in n._parents}]
         assert len(flows) == 1
         assert {id(p) for p in flows[0]._parents} >= params
+
+
+def test_each_message_and_conditioner_mlp_is_one_node():
+    """With a tape, each message MLP and the conditioner are one graph node
+    apiece: the only node with that MLP's weights as parents."""
+    model = PlaceModel(SMALL_MODEL, seed=3)
+    obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
+    nodes = _graph_nodes(model.predict_query_shift(model.fusion_embedding(obs)))
+    mlps = [*model.msg_layers["image"], *model.msg_layers["lidar"], model.cond_layers]
+    assert len(mlps) == 2 * SMALL_MODEL.num_scales + 1
+    for layers in mlps:
+        params = {id(t) for layer in layers for t in layer}
+        users = [n for n in nodes if params & {id(p) for p in n._parents}]
+        assert len(users) == 1
+        assert {id(p) for p in users[0]._parents} >= params

@@ -244,7 +244,8 @@ def test_non_finite_gradient_raises_before_any_mutation():
     assert store.step == 0
 
 
-def test_nan_in_the_ragged_last_block_raises_before_any_mutation():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_in_the_ragged_last_block_raises_before_any_mutation(bad):
     rng = np.random.default_rng(5)
     store = ParamStore()
     store.add("a.small", rng.standard_normal((2, 3)).astype(np.float32))
@@ -260,7 +261,7 @@ def test_nan_in_the_ragged_last_block_raises_before_any_mutation():
     for _, p in store.items():
         p.accumulate_grad(rng.standard_normal(p.value.shape))
     # "a.small" is updated first, so checking as the update goes would move it
-    store["z.large"].grad[0, -1] = np.nan
+    store["z.large"].grad[0, -1] = bad
     with pytest.raises(DivergenceError, match="z.large"):
         training.adam_step(store, lr=0.1)
     assert store.step == 1
@@ -283,6 +284,8 @@ def test_adam_step_scratch_stays_below_half_the_largest_parameter():
     finally:
         tracemalloc.stop()
     assert peak < largest / 2, (peak, largest)
+    # the finiteness check builds no full-size mask (4 MiB for the head)
+    assert peak < 2**20, peak
 
 
 @pytest.fixture(scope="module")
