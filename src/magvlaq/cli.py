@@ -54,7 +54,11 @@ def save_checkpoint(model: PlaceModel, run_config: config_mod.RunConfig,
 
 
 def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]:
-    """Rebuild the model (and optimizer moments) saved by save_checkpoint."""
+    """Rebuild the model (and optimizer moments) saved by save_checkpoint.
+
+    Parameters and moments are validated as the model registers them, and
+    then adopted as they are: views of the buffer the container was read into.
+    """
     entries = magt.read_container(path)
     if len(entries) != 1 or entries[0].meta.get("kind") != CHECKPOINT_KIND:
         raise DatasetValidationError(
@@ -69,26 +73,28 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
     # bool is a subclass of int: a JSON true must not load as step 1
     if isinstance(step, bool) or not isinstance(step, int) or step < 0:
         raise DatasetValidationError(f"{path}: bad optimizer step {step!r}")
-    model = PlaceModel(run_config.model_config(), seed=run_config.seed)
-    store = model.store
-    for name, p in store.items():
+
+    def adopt(name: str, shape: tuple[int, ...], dtype: np.dtype):
+        arrays = []
         for key in (f"param.{name}", f"adam_m.{name}", f"adam_v.{name}"):
-            if key not in entry.tensors:
+            arr = entry.tensors.get(key)
+            if arr is None:
                 raise DatasetValidationError(f"{path}: checkpoint missing tensor {key!r}")
-            if entry.tensors[key].shape != p.value.shape:
+            if arr.shape != shape:
                 raise DatasetValidationError(
                     f"{path}: checkpoint tensor {key!r} has shape "
-                    f"{entry.tensors[key].shape}, expected {p.value.shape}"
+                    f"{arr.shape}, expected {shape}"
                 )
-            if not np.isfinite(entry.tensors[key]).all():
+            # NaN reaches both extremes and an infinity one, with no full-size mask
+            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise DatasetValidationError(
                     f"{path}: checkpoint tensor {key!r} has a non-finite value"
                 )
-    store.load_values({name: entry.tensors[f"param.{name}"] for name in store.params})
-    for name in store.params:
-        store.first_moment[name][...] = entry.tensors[f"adam_m.{name}"]
-        store.second_moment[name][...] = entry.tensors[f"adam_v.{name}"]
-    store.step = step
+            arrays.append(np.asarray(arr, dtype=dtype))
+        return tuple(arrays)
+
+    model = PlaceModel.from_source(run_config.model_config(), adopt)
+    model.store.step = step
     return run_config, model
 
 

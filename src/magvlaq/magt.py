@@ -16,6 +16,7 @@ datasets, parameter checkpoints, and descriptor exports.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +33,8 @@ from .errors import (
 MAGIC = b"MAGT"
 VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
+# numpy's bound on one float32 dimension, even of an empty array
+_MAX_DIM = 2**61
 
 
 @dataclass
@@ -75,33 +78,56 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
 
 
 def read_container(path: str | Path) -> list[ContainerEntry]:
-    """Read and validate a container file; raises distinct errors per defect."""
+    """Read and validate a container file; raises distinct errors per defect.
+
+    Both headers and every tensor record are checked before the blob region
+    is read, in one call, into one 4-byte aligned buffer. Each tensor is a
+    C-contiguous, writable view of that buffer, so the entries keep it alive.
+    """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _HEAD.size:
-        raise TruncatedFileError(f"{path}: file shorter than the fixed header")
-    magic, version, header_len = _HEAD.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported container version {version}")
-    if _HEAD.size + header_len > len(data):
-        raise TruncatedFileError(f"{path}: header length {header_len} exceeds file size")
-    try:
-        header = json.loads(data[_HEAD.size : _HEAD.size + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptContainerError(f"{path}: header is not valid JSON ({exc})") from exc
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        fixed = f.read(_HEAD.size)
+        if len(fixed) < _HEAD.size:
+            raise TruncatedFileError(f"{path}: file shorter than the fixed header")
+        magic, version, header_len = _HEAD.unpack(fixed)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersionError(f"{path}: unsupported container version {version}")
+        if _HEAD.size + header_len > size:
+            raise TruncatedFileError(f"{path}: header length {header_len} exceeds file size")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptContainerError(f"{path}: header is not valid JSON ({exc})") from exc
+        blob_len = size - _HEAD.size - header_len
+        layout = _tensor_layout(path, header, blob_len)
+        words = np.empty(-(-blob_len // 4), dtype="<f4")
+        if f.readinto(words.view(np.uint8)[:blob_len]) != blob_len:
+            raise TruncatedFileError(f"{path}: file shorter than its header promises")
+    return [
+        ContainerEntry(meta=meta, tensors={
+            name: words[start : start + rows * cols].reshape(rows, cols)
+            for name, (start, rows, cols) in records.items()
+        })
+        for meta, records in layout
+    ]
+
+
+def _tensor_layout(path: Path, header, blob_len: int
+                   ) -> list[tuple[dict, dict[str, tuple[int, int, int]]]]:
+    """Each entry's metadata and, by tensor name, its (first word, rows,
+    cols), after checking every record against ``blob_len`` blob bytes."""
     if not isinstance(header, dict) or not isinstance(header.get("entries"), list):
         raise CorruptContainerError(f"{path}: header missing 'entries' list")
-
-    blob = memoryview(data)[_HEAD.size + header_len :]
-    entries = []
+    layout = []
     last_end = 0
     for raw_entry in header["entries"]:
         if not isinstance(raw_entry, dict) or not isinstance(raw_entry.get("tensors"), list):
             raise CorruptContainerError(f"{path}: entry missing 'tensors' table")
         meta = {k: v for k, v in raw_entry.items() if k != "tensors"}
-        tensors: dict[str, np.ndarray] = {}
+        records: dict[str, tuple[int, int, int]] = {}
         for rec in raw_entry["tensors"]:
             try:
                 name, rows, cols, off = rec["name"], rec["rows"], rec["cols"], rec["offset"]
@@ -111,21 +137,20 @@ def read_container(path: str | Path) -> list[ContainerEntry]:
                 isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols, off)
             ):
                 raise CorruptContainerError(f"{path}: mistyped tensor record {rec!r}")
-            if name in tensors:
+            if name in records:
                 raise CorruptContainerError(f"{path}: duplicate tensor name {name!r}")
-            if rows < 0 or cols < 0 or off < 0 or off % 4 != 0:
+            if not (0 <= rows < _MAX_DIM and 0 <= cols < _MAX_DIM) or off < 0 or off % 4:
                 raise CorruptContainerError(f"{path}: bad offset/shape in record {rec!r}")
             if off < last_end:
                 raise CorruptContainerError(
                     f"{path}: tensor {name!r} offset {off} overlaps the previous blob"
                 )
             size = rows * cols * 4
-            if off + size > len(blob):
+            if off + size > blob_len:
                 raise TruncatedFileError(
                     f"{path}: tensor {name!r} extends past end of file"
                 )
-            arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
-            tensors[name] = arr.reshape(rows, cols).copy()
+            records[name] = (off // 4, rows, cols)
             last_end = off + size
-        entries.append(ContainerEntry(meta=meta, tensors=tensors))
-    return entries
+        layout.append((meta, records))
+    return layout

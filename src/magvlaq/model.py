@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fusion, vlaq
 from .errors import ConfigurationError, DimensionError
-from .params import Layer, ParamStore, init_mlp, init_weight
+from .params import Layer, ParamStore, Source, init_mlp, init_weight
 from .tokens import AerialReference, GroundObservation
 
 AGGREGATORS = ("pooling", "static-vlaq", "ode-vlaq")
@@ -109,11 +109,24 @@ class PlaceModel:
 
     def __init__(self, config: ModelConfig, seed: int,
                  dtype: np.dtype = ad.DEFAULT_DTYPE) -> None:
+        self._register(config, ParamStore(), np.random.default_rng(seed), dtype)
+
+    @classmethod
+    def from_source(cls, config: ModelConfig, source: Source) -> PlaceModel:
+        """A model of the default dtype whose parameters and Adam moments are
+        adopted from ``source`` (see ``ParamStore``), none drawn or zeroed."""
+        model = cls.__new__(cls)
+        model._register(config, ParamStore(source), None, ad.DEFAULT_DTYPE)
+        return model
+
+    def _register(self, config: ModelConfig, store: ParamStore,
+                  rng: np.random.Generator | None, dtype: np.dtype) -> None:
+        """Register every parameter in the fixed draw order; ``rng`` is only
+        read by a store without a source."""
         config.validate()
         self.config = config
         self.dtype = np.dtype(dtype)
-        self.store = ParamStore()
-        rng = np.random.default_rng(seed)
+        self.store = store
         c = config
         self.proj = {
             m: init_weight(self.store, f"proj.{m}.w", c.raw_dim, c.proj_dim, rng,
@@ -122,15 +135,14 @@ class PlaceModel:
         }
         self.ln = {}
         for modality in ("image", "lidar"):
-            gain = self.store.add(
-                f"ln.{modality}.gain", np.ones((1, c.proj_dim), dtype=self.dtype)
-            )
-            bias = self.store.add(
-                f"ln.{modality}.bias", np.zeros((1, c.proj_dim), dtype=self.dtype)
-            )
+            gain = self.store.register(f"ln.{modality}.gain", (1, c.proj_dim),
+                                       self.dtype, np.ones)
+            bias = self.store.register(f"ln.{modality}.bias", (1, c.proj_dim),
+                                       self.dtype, np.zeros)
             self.ln[modality] = (gain, bias)
-        self.prototypes = self.store.add(
-            "prototypes", vlaq.init_prototypes(c.num_queries, c.proj_dim, rng, self.dtype)
+        self.prototypes = self.store.register(
+            "prototypes", (c.num_queries, c.proj_dim), self.dtype,
+            lambda shape, dt: vlaq.init_prototypes(*shape, rng, dt),
         )
         self.agg_proj = init_weight(self.store, "agg.proj.w", c.num_queries * c.proj_dim,
                                     c.out_dim, rng, dtype=self.dtype)

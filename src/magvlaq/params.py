@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -10,6 +10,12 @@ from . import autodiff as ad
 from .errors import ConfigurationError
 
 Layer = tuple[ad.Tensor, ad.Tensor]
+# Draws a parameter's initial value from its (shape, dtype), as np.zeros does.
+Init = Callable[[tuple[int, ...], np.dtype], np.ndarray]
+# Supplies a stored parameter's (value, first moment, second moment) from its
+# (name, shape, dtype), validating them first.
+Source = Callable[[str, tuple[int, ...], np.dtype],
+                  tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 class ParamStore:
@@ -17,21 +23,37 @@ class ParamStore:
 
     Values are C-contiguous, and the first/second moment buffers share their
     shape and dtype; ``step`` counts optimizer updates to the whole store.
+    A store built with a ``source`` adopts each registered parameter's value
+    and moments from it instead of drawing and zeroing them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, source: Source | None = None) -> None:
         self.params: dict[str, ad.Tensor] = {}
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
         self.step = 0
+        self._source = source
 
-    def add(self, name: str, value: np.ndarray) -> ad.Tensor:
+    def register(self, name: str, shape: tuple[int, ...], dtype: np.dtype,
+                 init: Init) -> ad.Tensor:
+        """Register a parameter of the given shape and dtype.
+
+        Without a source, ``init`` draws its value now and both moments start
+        at zero. With one, the source's arrays are adopted without a copy and
+        ``init`` is never called.
+        """
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
-        tensor = ad.Tensor(np.asarray(value, order="C"))
+        dtype = np.dtype(dtype)
+        if self._source is None:
+            value = np.asarray(init(shape, dtype), order="C")
+            first, second = np.zeros_like(value), np.zeros_like(value)
+        else:
+            value, first, second = self._source(name, shape, dtype)
+        tensor = ad.Tensor(value)
         self.params[name] = tensor
-        self.first_moment[name] = np.zeros_like(tensor.value)
-        self.second_moment[name] = np.zeros_like(tensor.value)
+        self.first_moment[name] = first
+        self.second_moment[name] = second
         return tensor
 
     def __getitem__(self, name: str) -> ad.Tensor:
@@ -54,33 +76,13 @@ class ParamStore:
         for p in self.params.values():
             p.zero_grad()
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Replace parameter values; names and shapes must match.
-
-        A C-contiguous array of its parameter's dtype becomes the new value
-        without a copy, so the caller must not modify it afterwards.
-        """
-        missing = set(self.params) - set(values)
-        extra = set(values) - set(self.params)
-        if missing or extra:
-            raise ConfigurationError(
-                f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for name, arr in values.items():
-            tensor = self.params[name]
-            if arr.shape != tensor.value.shape:
-                raise ConfigurationError(
-                    f"parameter {name!r}: stored shape {arr.shape} != expected {tensor.value.shape}"
-                )
-            tensor.value = np.asarray(arr, dtype=tensor.value.dtype, order="C")
-            tensor.zero_grad()
-
 
 def init_weight(store: ParamStore, name: str, fan_in: int, fan_out: int,
-                rng: np.random.Generator, dtype=np.float32) -> ad.Tensor:
+                rng: np.random.Generator | None, dtype=np.float32) -> ad.Tensor:
     """Register one (fan_in, fan_out) weight drawn with std 1/sqrt(fan_in)."""
-    w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)).astype(dtype)
-    return store.add(name, w)
+    std = 1.0 / np.sqrt(fan_in)
+    return store.register(name, (fan_in, fan_out), dtype,
+                          lambda shape, dt: rng.normal(0.0, std, size=shape).astype(dt))
 
 
 def init_linear(
@@ -88,23 +90,23 @@ def init_linear(
     prefix: str,
     fan_in: int,
     fan_out: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     zero: bool = False,
     dtype=np.float32,
 ) -> Layer:
     """Register one (weight, bias) pair; weight std is 1/sqrt(fan_in)."""
     if zero:
-        w = store.add(f"{prefix}.w", np.zeros((fan_in, fan_out), dtype=dtype))
+        w = store.register(f"{prefix}.w", (fan_in, fan_out), dtype, np.zeros)
     else:
         w = init_weight(store, f"{prefix}.w", fan_in, fan_out, rng, dtype)
-    return w, store.add(f"{prefix}.b", np.zeros((1, fan_out), dtype=dtype))
+    return w, store.register(f"{prefix}.b", (1, fan_out), dtype, np.zeros)
 
 
 def init_mlp(
     store: ParamStore,
     prefix: str,
     widths: Sequence[int],
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     zero_final: bool = False,
     dtype=np.float32,
 ) -> list[Layer]:

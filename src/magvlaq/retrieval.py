@@ -1,8 +1,9 @@
 """Exact descriptor retrieval and geo-thresholded recall evaluation.
 
 The reference database is searched by brute force (no approximate index):
-Euclidean distances between unit descriptors, full sort, ties broken by
-ascending reference id so results are reproducible across platforms.
+Euclidean distances between unit descriptors, a sort of the shortlist that
+ends at the k-th distance, ties broken by ascending reference id so results
+are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -54,15 +55,16 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
 class DescriptorDatabase:
     """Aligned reference ids, geo-positions (M x 2), and descriptors (M x D).
 
-    Construction also computes what every search reuses: each reference's
-    float64 squared norm (``sq_norms``) and its position in ascending id
-    order (``id_rank``). Changing ``vectors`` or ``ids`` in place afterwards
-    is unsupported; build a new database instead.
+    Construction also computes what every search reuses: the descriptors in
+    float64 (``vectors64``), each one's squared norm (``sq_norms``) and its
+    position in ascending id order (``id_rank``). Changing ``vectors`` or
+    ``ids`` in place afterwards is unsupported; build a new database instead.
     """
 
     ids: list[str]
     geos: np.ndarray
     vectors: np.ndarray
+    vectors64: np.ndarray = field(init=False, repr=False, compare=False)
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -80,7 +82,8 @@ class DescriptorDatabase:
             raise DegenerateInputError(
                 f"reference row {row} (id {self.ids[row]!r}) has a non-finite value"
             )
-        self.sq_norms = squared_norms(self.vectors)
+        self.vectors64 = self.vectors.astype(np.float64)
+        self.sq_norms = squared_norms(self.vectors64)
         self.id_rank = np.argsort(np.argsort(self.ids, kind="stable"), kind="stable")
 
     def __len__(self) -> int:
@@ -136,11 +139,14 @@ def knn_search(query_vecs: np.ndarray, db: DescriptorDatabase,
     row = _first_non_finite_row(query_vecs)
     if row is not None:
         raise DegenerateInputError(f"query row {row} has a non-finite value")
-    dists = distance_matrix(query_vecs, db.vectors, ref_sq_norms=db.sq_norms)
+    dists = distance_matrix(query_vecs, db.vectors64, ref_sq_norms=db.sq_norms)
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
     indices = np.empty((dists.shape[0], k), dtype=np.int64)
     out_d = np.empty((dists.shape[0], k), dtype=np.float64)
     for qi in range(dists.shape[0]):
-        order = np.lexsort((db.id_rank, dists[qi]))[:k]
+        # every reference tied with the k-th distance stays, so ties break by id
+        shortlist = np.flatnonzero(dists[qi] <= kth[qi])
+        order = shortlist[np.lexsort((db.id_rank[shortlist], dists[qi, shortlist]))[:k]]
         indices[qi] = order
         out_d[qi] = dists[qi, order]
     return indices, out_d

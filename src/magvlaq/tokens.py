@@ -134,11 +134,13 @@ def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0) -> list[Violati
         if ref.id in seen_aerial:
             out.append(Violation(ref.id, "duplicate-id"))
         seen_aerial.add(ref.id)
-        if not ref.modality_tag:
+        if not isinstance(ref.modality_tag, str):
+            out.append(Violation(ref.id, "bad-modality-tag"))
+        elif not ref.modality_tag:
             out.append(Violation(ref.id, "missing-modality-tag"))
         _check_token_set(ref.token_set, AERIAL, out)
 
-    tags = {ref.modality_tag for ref in dataset.aerial}
+    tags = {ref.modality_tag for ref in dataset.aerial if isinstance(ref.modality_tag, str)}
     if len(tags) > 1:
         out.append(Violation(sorted(tags)[0], "mixed-modality-tags"))
 
@@ -197,12 +199,21 @@ def _entry_token_set(entry: magt.ContainerEntry, set_id: str) -> TokenSet:
             f"entry {entry.meta.get('id')!r}: tensor names {names} are not consecutive scales"
         )
     geo_raw = entry.meta.get("geo")
-    if not (isinstance(geo_raw, list) and len(geo_raw) == 2):
-        raise DatasetValidationError(f"entry {entry.meta.get('id')!r}: malformed geo")
+    try:
+        if not (isinstance(geo_raw, list) and len(geo_raw) == 2 and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in geo_raw
+        )):
+            raise TypeError
+        # a JSON integer too large for a float overflows here
+        geo = (float(geo_raw[0]), float(geo_raw[1]))
+    except (TypeError, OverflowError):
+        raise DatasetValidationError(
+            f"entry {entry.meta.get('id')!r}: malformed geo"
+        ) from None
     return TokenSet(
         id=set_id,
         kind=entry.meta.get("kind", ""),
-        geo=(float(geo_raw[0]), float(geo_raw[1])),
+        geo=geo,
         scales=[entry.tensors[n] for n in expected],
     )
 

@@ -203,7 +203,9 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     All gradients are validated before any parameter moves, so a divergent
     batch leaves the store at its last finite state. The update runs block
     by block over flat views of the store's C-contiguous arrays, which does
-    not change its bits. Gradients are cleared after the update.
+    not change its bits. A parameter without a gradient is updated as if its
+    gradient were zero, without building one. Gradients are cleared after
+    the update.
     """
     for name, p in store.items():
         # NaN reaches both extremes and an infinity one, with no full-size mask
@@ -215,19 +217,28 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
     for name, p in store.items():
-        flat = [arr.reshape(-1) for arr in (p.grad, store.first_moment[name],
-                                            store.second_moment[name], p.value)]
+        grad, first, second = p._grad, store.first_moment[name], store.second_moment[name]
+        flat_g = None if grad is None else grad.reshape(-1)
+        flat = [arr.reshape(-1) for arr in (first, second, p.value)]
         scratch = np.empty((2, min(p.value.size, ADAM_BLOCK)), dtype=p.value.dtype)
         for start in range(0, p.value.size, ADAM_BLOCK):
-            g, m, v, value = (arr[start : start + ADAM_BLOCK] for arr in flat)
-            a, b = scratch[:, : g.size]
-            np.multiply(g, 1.0 - beta1, out=a)
-            m *= beta1
-            m += a
-            np.multiply(g, 1.0 - beta2, out=a)
-            a *= g
-            v *= beta2
-            v += a
+            m, v, value = (arr[start : start + ADAM_BLOCK] for arr in flat)
+            a, b = scratch[:, : m.size]
+            if flat_g is None:
+                # a zero gradient's +0.0 terms turn each -0.0 moment into +0.0
+                m *= beta1
+                m += 0.0
+                v *= beta2
+                v += 0.0
+            else:
+                g = flat_g[start : start + ADAM_BLOCK]
+                np.multiply(g, 1.0 - beta1, out=a)
+                m *= beta1
+                m += a
+                np.multiply(g, 1.0 - beta2, out=a)
+                a *= g
+                v *= beta2
+                v += a
             np.divide(v, correct2, out=a)
             np.sqrt(a, out=a)
             a += eps

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from magvlaq import cli, config, magt, retrieval, tokens
 from magvlaq.errors import ConfigurationError
 from magvlaq.model import PlaceModel
+from magvlaq.params import ParamStore
 
 TINY = {
     "seed": 5,
@@ -128,19 +130,59 @@ def test_checkpoint_roundtrip_preserves_optimizer_state(tmp_path):
         )
 
 
-def test_load_values_converts_other_dtypes_and_adopts_matching_ones():
+def test_a_sourced_model_adopts_its_arrays_in_registration_order():
     cfg = config.config_from_mapping(dict(TINY))
-    store = PlaceModel(cfg.model_config(), seed=cfg.seed).store
-    rng = np.random.default_rng(3)
-    wide = {name: rng.standard_normal(p.value.shape) for name, p in store.items()}
-    store.load_values(wide)
+    fresh = PlaceModel(cfg.model_config(), seed=cfg.seed).store
+    given = {}
+
+    def source(name, shape, dtype):
+        assert (shape, dtype) == (fresh[name].value.shape, fresh[name].value.dtype)
+        given[name] = tuple(np.full(shape, i, dtype=dtype) for i in range(3))
+        return given[name]
+
+    store = PlaceModel.from_source(cfg.model_config(), source).store
+    assert list(store.params) == list(fresh.params) == list(given)
     for name, p in store.items():
-        assert p.value.dtype == np.float32
-        np.testing.assert_array_equal(p.value, wide[name].astype(np.float32))
-    narrow = {name: p.value.copy() for name, p in store.items()}
-    store.load_values(narrow)
+        value, first, second = given[name]
+        assert p.value is value
+        assert store.first_moment[name] is first
+        assert store.second_moment[name] is second
+
+
+def test_a_sourced_store_never_calls_init():
+    def refuse(shape, dtype):
+        raise AssertionError("init called")
+
+    store = ParamStore(lambda name, shape, dtype: (np.ones(shape, dtype),) * 3)
+    assert store.register("w", (2, 3), np.float32, refuse).value.shape == (2, 3)
+
+
+def test_loaded_checkpoint_tensors_are_views_of_one_read(trained):
+    (entry,) = magt.read_container(trained / "checkpoint.magt")
+    _, model = cli.load_checkpoint(trained / "checkpoint.magt")
+    store = model.store
+    arrays = []
     for name, p in store.items():
-        assert p.value is narrow[name]
+        for key, arr in ((f"param.{name}", p.value), (f"adam_m.{name}", store.first_moment[name]),
+                         (f"adam_v.{name}", store.second_moment[name])):
+            assert arr.tobytes() == entry.tensors[key].tobytes(), key
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous and arr.flags.writeable
+            arrays.append(arr)
+    assert arrays[0].base is not None
+    assert all(arr.base is arrays[0].base for arr in arrays)
+
+
+def test_load_checkpoint_peaks_below_one_and_a_quarter_file_sizes(tmp_path):
+    cfg = config.RunConfig()
+    path = tmp_path / "ckpt.magt"
+    size = cli.save_checkpoint(PlaceModel(cfg.model_config(), seed=cfg.seed), cfg, path)
+    tracemalloc.start()
+    try:
+        cli.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size, f"peak {peak / size:.2f}x the file size"
 
 
 def test_loaded_checkpoint_evaluates_like_the_model_that_saved_it(tmp_path, capsys):
@@ -313,6 +355,27 @@ def test_malformed_tensor_records_exit_3(tmp_path, capsys, records):
                      + header + b"\x00" * 8)
     assert cli.main(["inspect", str(path)]) == 3
     assert "tensor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("ground-image", "geo", ["x", 1.0]),
+    ("aerial", "geo", [None, 1.0]),
+    ("aerial", "geo", [10**400, 1.0]),
+    ("aerial", "modality_tag", ["satellite"]),
+], ids=["string-geo", "null-geo", "huge-int-geo", "list-modality-tag"])
+def test_malformed_token_metadata_exits_3_naming_the_entry(trained, tiny_config_path,
+                                                           tmp_path, capsys, kind, key, value):
+    data = tmp_path / "data.magt"
+    assert cli.main(["generate", "--config", str(tiny_config_path), "--out", str(data)]) == 0
+    entries = magt.read_container(data)
+    victim = next(e for e in entries if e.meta["kind"] == kind)
+    victim.meta[key] = value
+    magt.write_container(entries, data)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   "--data", str(data)])
+    assert rc == 3
+    assert repr(victim.meta["id"]) in capsys.readouterr().err
 
 
 def test_checkpoint_validation_rejects_wrong_container(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ def test_aggregator_choice_does_not_change_initialization():
     b = PlaceModel(dataclasses.replace(MODEL, aggregator="pooling"), seed=5)
     for name in a.store.names():
         assert a.store[name].value.tobytes() == b.store[name].value.tobytes()
+
+
+# sha256 over (name, value bytes) in name order of PlaceModel(ModelConfig(), seed=7)
+FRESH_SEED_7 = {
+    np.float32: "8fef72561c05dc74c972c487e82db60d8b887d95ee0879573f04a204cda427f4",
+    np.float64: "ae373db78d7e5186c9299c349c767b4e55258aee21701f112a712c54a8fe515a",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("aggregator", ["ode-vlaq", "pooling"])
+def test_fresh_default_model_draws_the_same_weights_as_always(aggregator, dtype):
+    store = PlaceModel(ModelConfig(aggregator=aggregator), seed=7, dtype=dtype).store
+    digest = hashlib.sha256()
+    for name, p in store.items():
+        digest.update(name.encode())
+        digest.update(p.value.tobytes())
+    assert digest.hexdigest() == FRESH_SEED_7[dtype]
 
 
 def test_prototype_shift_is_exactly_zero_at_init(dataset):

@@ -119,6 +119,25 @@ def test_cached_search_is_bit_identical_to_the_per_call_oracle(data, m, d):
         np.testing.assert_array_equal(dist, want_dist)
 
 
+@pytest.mark.parametrize("k", [1, 7, 40, 59, 60, 61, 100])
+def test_many_ties_at_the_kth_distance_break_by_id_as_in_the_oracle(k):
+    # 60 copies of one reference at distance 1 from the query, 10 nearer and
+    # 30 farther, under shuffled ids: the k-th distance is often a tie
+    rng = np.random.default_rng(11)
+    d = 6
+    query = np.zeros((2, d), dtype=np.float32)
+    query[1, 0] = 1.0  # the second query sits on top of the tied copies
+    near = (0.5 * np.eye(d, dtype=np.float32))[rng.integers(0, d, size=10)]
+    tied = np.tile(np.eye(d, dtype=np.float32)[:1], (60, 1))
+    far = 2.0 + rng.random((30, d)).astype(np.float32)
+    vectors = np.concatenate([near, tied, far])[rng.permutation(100)]
+    db = _db(vectors, ids=[f"r{i:03d}" for i in rng.permutation(100)])
+    idx, dist = retrieval.knn_search(query, db, k)
+    want_idx, want_dist = oracles.knn_search(query, db, k)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(dist, want_dist)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_reference_is_rejected_by_row(bad):
     vectors = np.eye(4, dtype=np.float32)

@@ -165,6 +165,12 @@ def test_total_loss_weighting():
     assert abs(got - 5.5) < 1e-7
 
 
+def _add(store, name, value):
+    """Register a parameter of ``store`` that starts at ``value``."""
+    value = np.asarray(value, order="C")
+    return store.register(name, value.shape, value.dtype, lambda *_: value)
+
+
 def _adam_reference(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Independent Adam trajectory for a single parameter starting at zero."""
     p = np.zeros_like(grads[0])
@@ -183,7 +189,7 @@ def test_adam_matches_reference_trajectory():
     rng = np.random.default_rng(1)
     grads = [rng.standard_normal((2, 3)) for _ in range(3)]
     store = ParamStore()
-    p = store.add("w", np.zeros((2, 3), dtype=np.float64))
+    p = _add(store, "w", np.zeros((2, 3), dtype=np.float64))
     for g in grads:
         p.accumulate_grad(g)
         training.adam_step(store, lr=0.01)
@@ -203,7 +209,7 @@ def test_adam_step_is_bit_identical_to_the_reference_formula():
         for dtype in (np.float32, np.float64):
             for name, shape in shapes.items():
                 init = np.random.default_rng([len(name), len(shape)]).standard_normal(shape)
-                store.add(f"{name}.{np.dtype(dtype).name}", init.astype(dtype))
+                _add(store, f"{name}.{np.dtype(dtype).name}", init.astype(dtype))
         stores.append(store)
     fast, slow = stores
     for _ in range(8):
@@ -221,10 +227,62 @@ def test_adam_step_is_bit_identical_to_the_reference_formula():
         assert fast.second_moment[name].tobytes() == slow.second_moment[name].tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_without_a_gradient_is_bit_identical_to_the_reference_formula(dtype):
+    # "zero" starts with moments of signed zeros, "moving" with non-zero ones
+    # (and a -0.0); neither has a gradient until the third step
+    rng = np.random.default_rng(8)
+    shape = (1, training.ADAM_BLOCK + 9)
+    init = rng.standard_normal(shape).astype(dtype)
+    first = rng.standard_normal(shape).astype(dtype)
+    first[0, :3] = -0.0
+    second = np.abs(rng.standard_normal(shape)).astype(dtype)
+    signed_zeros = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(dtype)
+    stores = []
+    for _ in range(2):
+        store = ParamStore()
+        for name in ("zero", "moving"):
+            _add(store, name, init.copy())
+        store.first_moment["zero"][...] = signed_zeros
+        store.second_moment["zero"][...] = signed_zeros
+        store.first_moment["moving"][...] = first
+        store.second_moment["moving"][...] = second
+        stores.append(store)
+    fast, slow = stores
+    for step in range(3):
+        if step == 2:
+            g = rng.standard_normal(shape).astype(dtype)
+            for store in stores:
+                store["zero"].accumulate_grad(g)
+        training.adam_step(fast, lr=3e-3)
+        oracles.adam_step(slow, lr=3e-3)
+        for name in ("zero", "moving"):
+            assert fast[name].value.tobytes() == slow[name].value.tobytes(), (step, name)
+            assert fast.first_moment[name].tobytes() == slow.first_moment[name].tobytes()
+            assert fast.second_moment[name].tobytes() == slow.second_moment[name].tobytes()
+
+
+def test_adam_builds_no_gradient_for_a_parameter_without_one():
+    rng = np.random.default_rng(9)
+    store = ParamStore()
+    still = _add(store, "still", rng.standard_normal((1024, 1024)).astype(np.float32))
+    _add(store, "moving", rng.standard_normal((1, 8)).astype(np.float32))
+    store.first_moment["moving"][...] = 1e-3
+    tracemalloc.start()
+    try:
+        training.adam_step(store, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 4 MiB zero gradient would show; the block scratch is 512 KiB
+    assert peak < 2**20, peak
+    assert still._grad is None
+
+
 def test_adam_skips_nothing_but_zero_grads_are_no_ops():
     store = ParamStore()
-    a = store.add("a", np.ones((1, 2), dtype=np.float32))
-    b = store.add("b", np.ones((1, 2), dtype=np.float32))
+    a = _add(store, "a", np.ones((1, 2), dtype=np.float32))
+    b = _add(store, "b", np.ones((1, 2), dtype=np.float32))
     a.accumulate_grad(np.full((1, 2), 0.5))
     training.adam_step(store, lr=0.1)
     assert not np.array_equal(a.value, np.ones((1, 2)))
@@ -233,8 +291,8 @@ def test_adam_skips_nothing_but_zero_grads_are_no_ops():
 
 def test_non_finite_gradient_raises_before_any_mutation():
     store = ParamStore()
-    a = store.add("healthy", np.ones((1, 2), dtype=np.float32))
-    b = store.add("sick", np.ones((1, 2), dtype=np.float32))
+    a = _add(store, "healthy", np.ones((1, 2), dtype=np.float32))
+    b = _add(store, "sick", np.ones((1, 2), dtype=np.float32))
     a.accumulate_grad(np.full((1, 2), 0.5))
     b.accumulate_grad(np.array([[np.nan, 1.0]]))
     with pytest.raises(DivergenceError, match="sick"):
@@ -248,8 +306,8 @@ def test_non_finite_gradient_raises_before_any_mutation():
 def test_nan_in_the_ragged_last_block_raises_before_any_mutation(bad):
     rng = np.random.default_rng(5)
     store = ParamStore()
-    store.add("a.small", rng.standard_normal((2, 3)).astype(np.float32))
-    store.add("z.large", rng.standard_normal((1, 2 * training.ADAM_BLOCK + 5)).astype(np.float32))
+    _add(store, "a.small", rng.standard_normal((2, 3)).astype(np.float32))
+    _add(store, "z.large", rng.standard_normal((1, 2 * training.ADAM_BLOCK + 5)).astype(np.float32))
     for _, p in store.items():
         p.accumulate_grad(rng.standard_normal(p.value.shape))
     training.adam_step(store, lr=0.1)
