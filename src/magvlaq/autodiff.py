@@ -3,15 +3,16 @@
 Every differentiable operation builds a node in a dynamic graph that is
 rebuilt on each forward pass. Values are float32 by default (float64 graphs
 are supported and used by the gradient-check oracles); reductions such as
-softmax denominators and norms accumulate in float64 regardless of the
-graph dtype: the kernels work in place on one float64 copy of their input
-plus at most one scratch buffer, and take a mean as ``sum / n`` (np.mean's bits).
-"""
+norms accumulate in float64 regardless of the graph dtype: the kernels work
+in place on one float64 copy of their input plus at most one scratch buffer,
+and take a mean as ``sum / n`` (np.mean's bits). The MLP and the row
+normalization are also numpy values/backward pairs, so a node that fuses
+several steps (an RK4 flow, a token set's residual features) reuses them."""
 
 from __future__ import annotations
 
 import contextvars
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,20 +151,6 @@ def add(a, b) -> Tensor:
     return Tensor(out_value, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value - b.value
-
-    def bw(out):
-        g = out.grad
-        if not a.is_constant:
-            a.accumulate_grad(_unbroadcast(g, a.value.shape))
-        if not b.is_constant:
-            b.accumulate_grad(-_unbroadcast(g, b.value.shape))
-
-    return Tensor(out_value, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out_value = a.value * b.value
@@ -209,18 +196,6 @@ def matmul(a, b) -> Tensor:
             b.accumulate_grad(a.value.T @ g)
 
     return Tensor(out_value, (a, b), bw)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.value.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D operand, got {a.value.shape}")
-    out_value = a.value.T.copy()
-
-    def bw(out):
-        a.accumulate_grad(out.grad.T)
-
-    return Tensor(out_value, (a,), bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -312,32 +287,6 @@ def relu(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
-def softmax_columns(e) -> Tensor:
-    """Column-wise softmax of an N x S matrix: each column sums to 1.
-
-    Normalization runs over the row (token) axis with max-subtraction and a
-    float64 denominator for stability under large-magnitude logits.
-    """
-    e = as_tensor(e)
-    if e.value.ndim != 2 or e.value.size == 0:
-        raise DimensionError(
-            f"softmax_columns needs a non-empty 2-D matrix, got shape {e.value.shape}"
-        )
-    out64 = e.value.astype(np.float64)
-    out64 -= out64.max(axis=0, keepdims=True)
-    np.exp(out64, out=out64)
-    out64 /= out64.sum(axis=0, keepdims=True)
-    out_value = out64.astype(e.value.dtype)
-
-    def bw(out):
-        g = out.grad.astype(np.float64)
-        g -= (out64 * g).sum(axis=0, keepdims=True)
-        g *= out64
-        e.accumulate_grad(g)
-
-    return Tensor(out_value, (e,), bw)
-
-
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Per-row normalization over the feature axis, then an affine map.
 
@@ -383,22 +332,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return Tensor(out_value, (x, gain, bias), bw)
 
 
-def l2_normalize(x) -> Tensor:
-    """Normalize each row of a 2-D matrix to unit Euclidean norm; a row with
-    norm at most 1e-12 raises DegenerateInputError naming the row."""
-    return _normalize_rows(x, strict=True)
-
-
-def l2_normalize_rows(x) -> Tensor:
-    """Normalize each row to unit norm; rows with norm below 1e-12 pass through as zeros."""
-    return _normalize_rows(x, strict=False)
-
-
-def _normalize_rows(x, strict: bool) -> Tensor:
-    x = as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"row normalization needs a 2-D input, got {x.value.shape}")
-    out64 = x.value.astype(np.float64)
+def normalize_rows_values(x: np.ndarray, strict: bool
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the 2-D x at unit Euclidean norm in float64, each row's divisor,
+    and the mask of rows with norm at most 1e-12: those raise
+    DegenerateInputError naming the row if ``strict``, else pass as zeros.
+    The three arrays are what ``normalize_rows_backward`` takes after g."""
+    if x.ndim != 2:
+        raise DimensionError(f"row normalization needs a 2-D input, got {x.shape}")
+    out64 = x.astype(np.float64)
     norms = np.sqrt(np.square(out64).sum(axis=1, keepdims=True))
     live = norms > 1e-12
     if strict and not live.all():
@@ -410,17 +352,31 @@ def _normalize_rows(x, strict: bool) -> Tensor:
     dead = ~live[:, 0]
     out64 /= safe
     out64[dead] = 0.0
-    out_value = out64.astype(x.value.dtype)
+    return out64, safe, dead
+
+
+def normalize_rows_backward(g: np.ndarray, out64: np.ndarray, safe: np.ndarray,
+                            dead: np.ndarray) -> np.ndarray:
+    """Reverse sweep of ``normalize_rows_values`` for the output gradient g,
+    returned in float64."""
+    g = g.astype(np.float64)
+    scratch = out64 * g
+    g -= np.multiply(out64, scratch.sum(axis=1, keepdims=True), out=scratch)
+    g /= safe
+    g[dead] = 0.0
+    return g
+
+
+def l2_normalize(x) -> Tensor:
+    """Normalize each row of a 2-D matrix to unit Euclidean norm; a row with
+    norm at most 1e-12 raises DegenerateInputError naming the row."""
+    x = as_tensor(x)
+    rows = normalize_rows_values(x.value, strict=True)
 
     def bw(out):
-        g = out.grad.astype(np.float64)
-        scratch = out64 * g
-        g -= np.multiply(out64, scratch.sum(axis=1, keepdims=True), out=scratch)
-        g /= safe
-        g[dead] = 0.0
-        x.accumulate_grad(g)
+        x.accumulate_grad(normalize_rows_backward(out.grad, *rows))
 
-    return Tensor(out_value, (x,), bw)
+    return Tensor(rows[0].astype(x.value.dtype), (x,), bw)
 
 
 def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
@@ -559,27 +515,3 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
-
-
-def finite_difference_grad(
-    f: Callable[[], float], param: np.ndarray, h: float = 1e-3
-) -> np.ndarray:
-    """Central-difference gradient estimate of f with respect to param.
-
-    ``param`` is perturbed in place entry by entry and restored afterwards;
-    ``f`` must be deterministic and read the array by reference.
-    """
-    if not 1e-5 <= h <= 1e-2:
-        raise ContractError(f"step size {h} outside [1e-5, 1e-2]")
-    grad = np.zeros(param.shape, dtype=np.float64)
-    flat = param.reshape(-1)
-    gflat = grad.reshape(-1)
-    for k in range(flat.size):
-        saved = flat[k]
-        flat[k] = saved + h
-        f_plus = f()
-        flat[k] = saved - h
-        f_minus = f()
-        flat[k] = saved
-        gflat[k] = (f_plus - f_minus) / (2.0 * h)
-    return grad

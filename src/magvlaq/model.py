@@ -320,8 +320,8 @@ class PlaceModel:
             modalities = _mask_modalities(mask)
             batch = GroundBatch(self, [obs])
             banks, _ = self._banks(batch, modalities, conditioned)
-            tokens = batch.tokens(modalities)[0]
-            return vlaq.assignment_weights(tokens, banks[0]).value.copy()
+            tokens = batch.tokens(modalities)[0].value
+            return vlaq.assignment_weights(tokens, banks[0].value).astype(tokens.dtype)
 
     # ----- embedding lists ------------------------------------------------
 

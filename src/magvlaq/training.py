@@ -216,11 +216,15 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     t = store.step
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
+    # one buffer for the whole step holds the two block scratches of each parameter
+    raw = np.empty(max((2 * min(p.value.size, ADAM_BLOCK) * p.value.itemsize
+                        for _, p in store.items()), default=0), dtype=np.uint8)
     for name, p in store.items():
         grad, first, second = p._grad, store.first_moment[name], store.second_moment[name]
         flat_g = None if grad is None else grad.reshape(-1)
         flat = [arr.reshape(-1) for arr in (first, second, p.value)]
-        scratch = np.empty((2, min(p.value.size, ADAM_BLOCK)), dtype=p.value.dtype)
+        block = min(p.value.size, ADAM_BLOCK)
+        scratch = raw[: 2 * block * p.value.itemsize].view(p.value.dtype).reshape(2, block)
         for start in range(0, p.value.size, ADAM_BLOCK):
             m, v, value = (arr[start : start + ADAM_BLOCK] for arr in flat)
             a, b = scratch[:, : m.size]

@@ -4,6 +4,10 @@ A bank of S learned query prototypes soft-assigns the N input tokens via a
 scaled-dot-product softmax over the *token* axis, aggregates weighted
 residuals against each prototype, intra-normalizes per query, and projects
 the flattened result to a fixed-size L2-normalized descriptor.
+
+Assignment and aggregation are numpy functions of arrays. ``residual_features``
+runs them and the intra-norm as one autodiff node per token set, with a
+hand-written reverse sweep for the tokens and the bank.
 """
 
 from __future__ import annotations
@@ -23,43 +27,59 @@ def init_prototypes(num_queries: int, proj_dim: int, rng: np.random.Generator,
     return rng.normal(0.0, scale, size=(num_queries, proj_dim)).astype(dtype)
 
 
-def assignment_weights(tokens: ad.Tensor, prototypes: ad.Tensor) -> ad.Tensor:
-    """Soft-assignment matrix alpha (N x S); every column sums to one.
+def assignment_weights(tokens: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Soft-assignment matrix alpha (N x S) in float64; every column sums to one.
 
-    Logits are token-prototype dot products scaled by 1/sqrt(D); the softmax
-    runs over the token axis, so each query distributes one unit of attention
-    across the tokens rather than each token across the queries.
+    Logits are token-prototype dot products scaled by 1/sqrt(D), in the
+    tokens' dtype. The softmax runs over the token axis in float64, so each
+    query spreads one unit of attention across the tokens.
     """
-    n_dim = tokens.value.shape[1]
-    s_dim = prototypes.value.shape[1]
-    if n_dim != s_dim:
+    if tokens.shape[1] != prototypes.shape[1] or 0 in tokens.shape + prototypes.shape:
         raise DimensionError(
-            f"token dim {n_dim} does not match prototype dim {s_dim}"
+            f"cannot assign tokens of shape {tokens.shape} to prototypes of shape "
+            f"{prototypes.shape}"
         )
-    logits = ad.scale(ad.matmul(tokens, ad.transpose(prototypes)), 1.0 / math.sqrt(n_dim))
-    return ad.softmax_columns(logits)
+    logits = tokens @ prototypes.T.copy()
+    logits *= 1.0 / math.sqrt(tokens.shape[1])
+    alpha = logits.astype(np.float64)
+    alpha -= alpha.max(axis=0, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=0, keepdims=True)
+    return alpha
 
 
-def residual_aggregate(tokens: ad.Tensor, prototypes: ad.Tensor,
-                       alpha: ad.Tensor) -> ad.Tensor:
-    """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query."""
-    n = tokens.value.shape[0]
-    weighted = ad.matmul(ad.transpose(alpha), tokens)
-    ones = ad.constant(np.ones((1, n), dtype=tokens.value.dtype))
-    col_mass = ad.transpose(ad.matmul(ones, alpha))
-    return ad.sub(weighted, ad.mul(prototypes, col_mass))
+def residual_aggregate(tokens: np.ndarray, prototypes: np.ndarray,
+                       alpha: np.ndarray) -> np.ndarray:
+    """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query,
+    with alpha in the tokens' dtype."""
+    residuals = alpha.T.copy() @ tokens
+    residuals -= prototypes * (np.ones((1, len(tokens)), tokens.dtype) @ alpha).T
+    return residuals
 
 
-def residual_features(tokens: ad.Tensor, prototypes: ad.Tensor) -> ad.Tensor:
-    """Pre-head row of one token set: tokens (N x D) -> 1 x (S*D).
+def residual_features(tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
+    """Pre-head row of one token set, tokens (N x D) -> 1 x (S*D), as one node:
+    soft assignment, residual aggregation, per-query intra-norm (a zero
+    residual passes through as zeros) and a row-major flatten."""
+    x, c = tokens.value, bank.value
+    alpha = assignment_weights(x, c).astype(x.dtype)
+    rows = ad.normalize_rows_values(residual_aggregate(x, c, alpha), strict=False)
 
-    Steps: soft assignment, residual aggregation, per-query intra-norm,
-    row-major flatten. Rows of many token sets share one projection head.
-    """
-    s, d = prototypes.value.shape
-    alpha = assignment_weights(tokens, prototypes)
-    residuals = residual_aggregate(tokens, prototypes, alpha)
-    return ad.reshape(ad.l2_normalize_rows(residuals), (1, s * d))
+    def bw(out):
+        g = ad.normalize_rows_backward(out.grad.reshape(c.shape), *rows)
+        g = g.astype(x.dtype, copy=False)
+        # The mass sum_n alpha[n, s] is one for every prototype, so its term
+        # sends gradient to the bank alone: on alpha it would be a constant
+        # per column, which the softmax sweep cancels.
+        alpha64 = alpha.astype(np.float64, copy=False)
+        g_logits = (x @ g.T).astype(np.float64, copy=False)
+        g_logits -= (alpha64 * g_logits).sum(axis=0, keepdims=True)
+        g_logits *= alpha64
+        g_logits = (g_logits * (1.0 / math.sqrt(x.shape[1]))).astype(x.dtype, copy=False)
+        tokens.accumulate_grad(alpha @ g + g_logits @ c)
+        bank.accumulate_grad(g_logits.T @ x - g)
+
+    return ad.Tensor(rows[0].astype(x.dtype).reshape(1, -1), (tokens, bank), bw)
 
 
 def vlaq_descriptor(tokens: ad.Tensor, prototypes: ad.Tensor,

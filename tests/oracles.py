@@ -79,10 +79,34 @@ def brute_force_vlaq(tokens: np.ndarray, prototypes: np.ndarray,
     return np.array([[v / norm for v in out]], dtype=np.float64)
 
 
+def finite_difference_grad(
+    f: Callable[[], float], param: np.ndarray, h: float = 1e-3
+) -> np.ndarray:
+    """Central-difference gradient estimate of f with respect to param.
+
+    ``param`` is perturbed in place entry by entry and restored afterwards;
+    ``f`` must be deterministic and read the array by reference.
+    """
+    if not 1e-5 <= h <= 1e-2:
+        raise ContractError(f"step size {h} outside [1e-5, 1e-2]")
+    grad = np.zeros(param.shape, dtype=np.float64)
+    flat = param.reshape(-1)
+    gflat = grad.reshape(-1)
+    for k in range(flat.size):
+        saved = flat[k]
+        flat[k] = saved + h
+        f_plus = f()
+        flat[k] = saved - h
+        f_minus = f()
+        flat[k] = saved
+        gflat[k] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
 # The float64 kernels as they ran with a fresh array per intermediate:
-# autodiff.softmax_columns, layer_norm and the row normalization behind
-# l2_normalize / l2_normalize_rows must match them bit for bit, values and
-# every input gradient.
+# autodiff.layer_norm and the row normalization behind l2_normalize and the
+# intra-norm must match them bit for bit, values and every input gradient,
+# and so must the float64 column softmax of vlaq.assignment_weights.
 
 
 def softmax_columns(e) -> Tensor:
@@ -172,6 +196,66 @@ def normalize_rows(x, strict: bool) -> Tensor:
         x.accumulate_grad(np.where(live, (g - out64 * proj) / safe, 0.0))
 
     return Tensor(out_value, (x,), bw)
+
+
+def transpose(a) -> Tensor:
+    a = as_tensor(a)
+    if a.value.ndim != 2:
+        raise DimensionError(f"transpose needs a 2-D operand, got {a.value.shape}")
+    out_value = a.value.T.copy()
+
+    def bw(out):
+        a.accumulate_grad(out.grad.T)
+
+    return Tensor(out_value, (a,), bw)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_value = a.value - b.value
+
+    def bw(out):
+        g = out.grad
+        if not a.is_constant:
+            a.accumulate_grad(ad._unbroadcast(g, a.value.shape))
+        if not b.is_constant:
+            b.accumulate_grad(-ad._unbroadcast(g, b.value.shape))
+
+    return Tensor(out_value, (a, b), bw)
+
+
+# A token set's residual features composed of generic ops, about a dozen
+# nodes: vlaq.residual_features must match its value bit for bit, and its
+# token and bank gradients up to summation order.
+
+
+def assignment_weights(tokens: Tensor, prototypes: Tensor) -> Tensor:
+    """Soft-assignment matrix alpha (N x S); every column sums to one."""
+    n_dim = tokens.value.shape[1]
+    s_dim = prototypes.value.shape[1]
+    if n_dim != s_dim:
+        raise DimensionError(
+            f"token dim {n_dim} does not match prototype dim {s_dim}"
+        )
+    logits = ad.scale(ad.matmul(tokens, transpose(prototypes)), 1.0 / math.sqrt(n_dim))
+    return softmax_columns(logits)
+
+
+def residual_aggregate(tokens: Tensor, prototypes: Tensor, alpha: Tensor) -> Tensor:
+    """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query."""
+    n = tokens.value.shape[0]
+    weighted = ad.matmul(transpose(alpha), tokens)
+    ones = ad.constant(np.ones((1, n), dtype=tokens.value.dtype))
+    col_mass = transpose(ad.matmul(ones, alpha))
+    return sub(weighted, ad.mul(prototypes, col_mass))
+
+
+def residual_features(tokens: Tensor, prototypes: Tensor) -> Tensor:
+    """Pre-head row of one token set: tokens (N x D) -> 1 x (S*D)."""
+    s, d = prototypes.value.shape
+    alpha = assignment_weights(tokens, prototypes)
+    residuals = residual_aggregate(tokens, prototypes, alpha)
+    return ad.reshape(normalize_rows(residuals, strict=False), (1, s * d))
 
 
 # The MLP and the ops it was composed of before it became one node:
@@ -268,7 +352,7 @@ def _const(value: float, like: ad.Tensor) -> ad.Tensor:
 
 def pair_distance(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Differentiable Euclidean distance between two descriptor rows."""
-    diff = ad.sub(a, b)
+    diff = sub(a, b)
     return sqrt(ad.sum_all(ad.mul(diff, diff)), eps=1e-12)
 
 
@@ -290,7 +374,7 @@ def triplet_loss(anchors: list[ad.Tensor], positives: list[ad.Tensor],
         raise ContractError("triplet loss needs at least one triplet")
     terms = []
     for a, p, n in zip(anchors, positives, negatives):
-        gap = ad.add(ad.sub(pair_distance(a, p), pair_distance(a, n)), _const(margin, a))
+        gap = ad.add(sub(pair_distance(a, p), pair_distance(a, n)), _const(margin, a))
         terms.append(ad.relu(gap))
     return _mean(terms)
 
@@ -317,10 +401,10 @@ def aux_consistency_loss(domain_descriptors: dict[str, list[ad.Tensor]],
                 d_geo = math.hypot(a_geo[0] - r_geo[0], a_geo[1] - r_geo[1])
                 if d_geo < thresholds.tau_p:
                     dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(ad.sub(dist, _const(margin, dist))))
+                    terms.append(ad.relu(sub(dist, _const(margin, dist))))
                 elif d_geo > thresholds.tau_n:
                     dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(ad.sub(_const(2.0 * margin, dist), dist)))
+                    terms.append(ad.relu(sub(_const(2.0 * margin, dist), dist)))
     if not terms:
         return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
     return _mean(terms)

@@ -187,7 +187,7 @@ def test_heatmap_shows_the_bank_ground_forward_uses(dataset, aggregator):
                 fwd = m.ground_forward(obs, mask=mask, conditioned=conditioned)
                 bank = m.prototypes if fwd.delta is None else m.adapt_prototypes(fwd.delta)
                 toks = GroundBatch(m, [obs]).tokens(_mask_modalities(mask))[0]
-                want = vlaq.assignment_weights(toks, bank).value
+                want = vlaq.assignment_weights(toks.value, bank.value).astype(np.float32)
             shifted = conditioned or (conditioned is None and aggregator == "ode-vlaq")
             assert (fwd.delta is not None) == shifted
             got = m.assignment_heatmap(obs, mask=mask, conditioned=conditioned)

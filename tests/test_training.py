@@ -20,7 +20,14 @@ from magvlaq.errors import (
     DegenerateInputError,
     DivergenceError,
 )
-from magvlaq.model import EMBED_CHUNK, ModelConfig, PlaceModel
+from magvlaq.model import (
+    EMBED_CHUNK,
+    MODALITY_MASKS,
+    GroundBatch,
+    ModelConfig,
+    PlaceModel,
+    _mask_modalities,
+)
 from magvlaq.params import ParamStore
 
 THRESH = training.MiningThresholds(tau_p=10.0, tau_n=25.0)
@@ -329,8 +336,22 @@ def test_nan_in_the_ragged_last_block_raises_before_any_mutation(bad):
         assert after == before[name], name
 
 
-def test_adam_step_scratch_stays_below_half_the_largest_parameter():
-    store = PlaceModel(ModelConfig(), seed=0).store
+def _two_large_parameters():
+    store = ParamStore()
+    for name in ("a", "b"):
+        _add(store, name, np.zeros((1024, 1024), dtype=np.float32))
+    return store
+
+
+# The default model's bound: the finiteness check builds no full-size mask
+# (4 MiB for the head). The second: one 512 KiB block scratch for the whole
+# step, where one per parameter left two alive at once (1 MiB).
+@pytest.mark.parametrize("make_store,bound", [
+    (lambda: PlaceModel(ModelConfig(), seed=0).store, 2**20),
+    (_two_large_parameters, 600 * 2**10),
+], ids=["default-model", "two-1024x1024"])
+def test_adam_step_scratch_stays_below_half_the_largest_parameter(make_store, bound):
+    store = make_store()
     rng = np.random.default_rng(6)
     for _, p in store.items():
         p.accumulate_grad(rng.standard_normal(p.value.shape).astype(p.value.dtype))
@@ -342,8 +363,7 @@ def test_adam_step_scratch_stays_below_half_the_largest_parameter():
     finally:
         tracemalloc.stop()
     assert peak < largest / 2, (peak, largest)
-    # the finiteness check builds no full-size mask (4 MiB for the head)
-    assert peak < 2**20, peak
+    assert peak < bound, peak
 
 
 @pytest.fixture(scope="module")
@@ -557,3 +577,52 @@ def test_constant_leaves_leave_parameter_gradients_bit_identical(tiny_dataset, m
     _, without = _loss_and_grads(training.batch_loss, m, batch)
     for name, g in with_constants.items():
         assert g.tobytes() == without[name].tobytes(), name
+
+
+def _tape(root) -> list:
+    """Every node reachable from root through its parents, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_each_token_sets_residual_features_is_one_node(tiny_dataset):
+    """In a training batch, a token set's assignment, residuals and
+    intra-norm are one node, whose only parents are the token set and its
+    prototype bank."""
+    model = PlaceModel(MODEL, seed=3)
+    anchors, positives, _ = _oracle_batches(tiny_dataset)[0]
+    batch = GroundBatch(model, anchors)
+    for mask in MODALITY_MASKS:
+        rows, deltas = model.ground_rows(batch, mask)
+        sets = batch.tokens(_mask_modalities(mask))
+        for row, token_set, delta in zip(rows, sets, deltas):
+            tokens, bank = row._parents
+            assert tokens.value.tobytes() == token_set.value.tobytes()
+            assert (bank is model.prototypes) == (delta is None)
+            assert row.value.tobytes() == oracles.residual_features(tokens, bank).value.tobytes()
+    for ref in positives:
+        row = model.aerial_row(ref)
+        assert row._parents[1] is model.prototypes and len(row._parents) == 2
+
+
+def test_default_training_batch_tape_stays_small():
+    """A default-config ode-vlaq batch of 16 anchors: one residual-features
+    node per token set keeps the nodes with a backward at or under 650."""
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(), seed=0)
+    settings = training.TrainSettings()
+    geos = [ref.geo for ref in dataset.aerial]
+    anchors = dataset.split_ground("train")[: settings.batch_size]
+    mined = [training.mine_pairs(obs.geo, geos, settings.thresholds) for obs in anchors]
+    total = training.batch_loss(
+        model, anchors, [dataset.aerial[pos[0]] for pos, _ in mined],
+        [dataset.aerial[neg[0]] for _, neg in mined], settings,
+    )[3]
+    assert len(anchors) == 16
+    swept = sum(node._backward is not None for node in _tape(total))
+    assert swept <= 650, swept

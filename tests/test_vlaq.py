@@ -1,4 +1,8 @@
-"""Aggregation core: oracle equivalence, softmax axis, invariances, gradients."""
+"""Aggregation core: oracle equivalence, softmax axis, invariances, gradients.
+
+``vlaq.residual_features`` is one tape node per token set; the composed-op
+version it replaced (``oracles.residual_features``) is its reference.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from magvlaq import autodiff as ad
 from magvlaq import vlaq
 from magvlaq.errors import ConfigurationError, DegenerateInputError, DimensionError
 from magvlaq.model import ModelConfig
-from oracles import brute_force_vlaq
+from oracles import brute_force_vlaq, finite_difference_grad
 
 
 def _instance(rng, n=None, s=None, d=None, out=None, dtype=np.float64):
@@ -48,23 +53,48 @@ def test_descriptor_matches_brute_force_oracle_float32():
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**16), n=st.integers(1, 20), s=st.integers(1, 10))
-def test_assignment_columns_sum_to_one(seed, n, s):
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 20), s=st.integers(1, 10),
+       shift=st.floats(-30.0, 30.0))
+def test_assignment_columns_sum_to_one_and_ignore_a_common_token_shift(seed, n, s, shift):
+    """The softmax runs over the token axis in float64, so translating every
+    token by one vector (a constant per logit column) changes nothing."""
     rng = np.random.default_rng(seed)
     tokens = rng.standard_normal((n, 6)) * 5.0
     protos = rng.standard_normal((s, 6))
-    alpha = vlaq.assignment_weights(ad.Tensor(tokens), ad.Tensor(protos)).value
-    assert alpha.shape == (n, s)
+    alpha = vlaq.assignment_weights(tokens, protos)
+    assert alpha.shape == (n, s) and alpha.dtype == np.float64
     np.testing.assert_allclose(alpha.sum(axis=0), np.ones(s), atol=1e-9)
     assert (alpha >= 0).all()
+    moved = vlaq.assignment_weights(tokens + shift * rng.standard_normal((1, 6)), protos)
+    np.testing.assert_allclose(moved, alpha, atol=1e-9)
+
+
+def test_assignment_survives_huge_logits():
+    tokens = np.array([[1e4, -1e4], [9.999e3, -1e4]])
+    alpha = vlaq.assignment_weights(tokens, np.eye(2))
+    assert np.isfinite(alpha).all()
+    np.testing.assert_allclose(alpha.sum(axis=0), [1.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,s", [(1, 2), (3, 8), (64, 128), (4096, 128)])
+@pytest.mark.parametrize("logit_scale", [1.0, 1e3])
+def test_assignment_matches_the_composed_oracle_bit_for_bit(logit_scale, n, s, dtype):
+    rng = np.random.default_rng([n, s])
+    tokens = rng.standard_normal((n, 16))
+    protos = rng.standard_normal((s, 16))
+    tokens *= logit_scale * 4.0 / np.abs(tokens @ protos.T).max()  # 4 = sqrt(D)
+    tokens, protos = tokens.astype(dtype), protos.astype(dtype)
+    got = vlaq.assignment_weights(tokens, protos).astype(dtype)
+    want = oracles.assignment_weights(ad.Tensor(tokens), ad.Tensor(protos)).value
+    assert want.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 def test_single_token_gets_all_the_attention():
     rng = np.random.default_rng(2)
     tokens = rng.standard_normal((1, 4))
     protos = rng.standard_normal((3, 4))
-    alpha = vlaq.assignment_weights(ad.Tensor(tokens), ad.Tensor(protos)).value
-    np.testing.assert_allclose(alpha, np.ones((1, 3)))
+    np.testing.assert_allclose(vlaq.assignment_weights(tokens, protos), np.ones((1, 3)))
 
 
 def test_descriptor_is_invariant_to_token_order():
@@ -82,14 +112,71 @@ def test_residual_aggregate_matches_direct_sum():
     rng = np.random.default_rng(4)
     tokens = rng.standard_normal((7, 5))
     protos = rng.standard_normal((3, 5))
-    alpha_t = vlaq.assignment_weights(ad.Tensor(tokens), ad.Tensor(protos))
-    v = vlaq.residual_aggregate(ad.Tensor(tokens), ad.Tensor(protos), alpha_t).value
-    alpha = alpha_t.value
+    alpha = vlaq.assignment_weights(tokens, protos)
+    v = vlaq.residual_aggregate(tokens, protos, alpha)
     expect = np.zeros((3, 5))
     for s in range(3):
         for n in range(7):
             expect[s] += alpha[n, s] * (tokens[n] - protos[s])
     np.testing.assert_allclose(v, expect, atol=1e-12)
+
+
+def _node_case(name, dtype):
+    """Tokens (N x D) and a bank (S x D) for one oracle case."""
+    n, s, d = {
+        "one-token": (1, 5, 8),
+        "one-prototype": (9, 1, 8),
+        "default-size": (128, 64, 128),
+        "huge-logits": (12, 4, 8),
+        "zero-residual": (1, 3, 4),
+    }[name]
+    rng = np.random.default_rng([n, s, d])
+    bank = rng.standard_normal((s, d)) / np.sqrt(d)
+    tokens = rng.standard_normal((n, d))
+    if name == "huge-logits":  # the largest logit x.c / sqrt(D) reaches 1e3
+        tokens *= 1e3 * np.sqrt(d) / np.abs(tokens @ bank.T).max()
+    if name == "zero-residual":
+        bank[1] = tokens[0]  # the only token sits on prototype 1
+    return tokens.astype(dtype), bank.astype(dtype)
+
+
+NODE_CASES = ["one-token", "one-prototype", "default-size", "huge-logits", "zero-residual"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", NODE_CASES)
+def test_residual_features_node_matches_composed_oracle(case, dtype):
+    tokens, bank = _node_case(case, dtype)
+    upstream = np.random.default_rng(7).standard_normal((1, bank.size)).astype(dtype)
+    results = []
+    for features in (vlaq.residual_features, oracles.residual_features):
+        leaves = ad.Tensor(tokens.copy()), ad.Tensor(bank.copy())
+        out = features(*leaves)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        results.append([out.value, *(leaf.grad for leaf in leaves)])
+    (got, *got_grads), (want, *want_grads) = results
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    if case == "zero-residual":
+        assert not got.reshape(bank.shape)[1].any()
+    if dtype == np.float64:
+        for g, w in zip(got_grads, want_grads):
+            assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max(), case
+
+
+def test_residual_features_is_one_node_and_keeps_nothing_without_a_tape():
+    tokens, bank = (ad.Tensor(a) for a in _node_case("one-prototype", np.float64))
+    row = vlaq.residual_features(tokens, bank)
+    assert row._parents == (tokens, bank)
+    with ad.no_grad():
+        row = vlaq.residual_features(tokens, bank)
+    assert row._parents == () and row._backward is None
+
+
+def test_zero_residual_rows_pass_gradient_zeros():
+    tokens, bank = (ad.Tensor(a) for a in _node_case("zero-residual", np.float64))
+    ad.backward(ad.sum_all(vlaq.residual_features(tokens, bank)))
+    # prototype 1's residual is zero: its row of the bank gets no gradient
+    assert not bank.grad[1].any() and bank.grad[[0, 2]].all()
 
 
 def test_descriptor_is_unit_norm():
@@ -109,9 +196,12 @@ def test_tokens_equal_to_prototype_raise_degenerate():
         brute_force_vlaq(token, protos, proj)
 
 
-def test_dimension_mismatches_raise():
-    with pytest.raises(DimensionError, match="prototype dim"):
-        vlaq.assignment_weights(ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((2, 5))))
+def test_dimension_mismatches_and_empty_token_sets_raise():
+    with pytest.raises(DimensionError, match=r"\(3, 4\) to prototypes of shape \(2, 5\)"):
+        vlaq.assignment_weights(np.ones((3, 4)), np.ones((2, 5)))
+    for empty in (np.ones((0, 4)), np.ones((3, 0))):
+        with pytest.raises(DimensionError, match="cannot assign"):
+            vlaq.residual_features(ad.Tensor(empty), ad.Tensor(np.ones((2, empty.shape[1]))))
     with pytest.raises(DimensionError, match="projection"):
         vlaq.vlaq_descriptor(
             ad.Tensor(np.ones((3, 4))),
@@ -136,7 +226,7 @@ def test_gradients_match_finite_differences():
     ad.backward(loss)
     for p in (tokens, protos, proj):
         got = p.grad.copy()
-        fd = ad.finite_difference_grad(lambda: build().item(), p.value, h=1e-5)
+        fd = finite_difference_grad(lambda: build().item(), p.value, h=1e-5)
         np.testing.assert_allclose(got, fd, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
