@@ -5,13 +5,15 @@ rebuilt on each forward pass. Values are float32 by default (float64 graphs
 are supported and used by the gradient-check oracles); reductions such as
 norms accumulate in float64 regardless of the graph dtype: the kernels work
 in place on one float64 copy of their input plus at most one scratch buffer,
-and take a mean as ``sum / n`` (np.mean's bits). The MLP and the row
-normalization are also numpy values/backward pairs, so a node that fuses
-several steps (an RK4 flow, a token set's residual features) reuses them."""
+and take a mean as ``sum / n`` (np.mean's bits). The MLP, the layer norm
+and the row normalization are numpy values/backward pairs, so a node that
+fuses several steps (an RK4 flow, a token set's residual features, a
+token projection) reuses them."""
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -259,20 +261,23 @@ def sum_all(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
-def mean_rows(a) -> Tensor:
-    """Mean over the row axis of a 2-D matrix; returns a 1 x cols row."""
+def mean_rows(a, counts: Sequence[int] | None = None) -> Tensor:
+    """Mean over the row axis of a 2-D matrix: one 1 x cols row, or with
+    ``counts`` one row per consecutive segment of that many rows."""
     a = as_tensor(a)
-    if a.value.ndim != 2 or a.value.shape[0] == 0:
+    counts = list(a.value.shape[:1] if counts is None else counts)
+    if a.value.ndim != 2 or min(counts, default=0) < 1 or sum(counts) != len(a.value):
         raise DegenerateInputError(
-            f"mean_rows needs a non-empty 2-D matrix, got shape {a.value.shape}"
+            f"mean_rows needs non-empty row segments of a 2-D matrix, got shape "
+            f"{a.value.shape} and row counts {counts}"
         )
-    n = a.value.shape[0]
-    out_value = (
-        a.value.mean(axis=0, keepdims=True, dtype=np.float64).astype(a.value.dtype)
-    )
+    out_value = np.empty((len(counts), a.value.shape[1]), a.value.dtype)
+    for row, n, stop in zip(out_value, counts, itertools.accumulate(counts)):
+        row[...] = a.value[stop - n : stop].mean(axis=0, dtype=np.float64)
 
     def bw(out):
-        a.accumulate_grad(np.broadcast_to(out.grad / n, a.value.shape))
+        g = out.grad / np.asarray(counts, dtype=out.grad.dtype)[:, None]
+        a.accumulate_grad(np.repeat(g, counts, axis=0))
 
     return Tensor(out_value, (a,), bw)
 
@@ -287,49 +292,45 @@ def relu(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization over the feature axis, then an affine map.
-
-    Each row is shifted to mean 0 and scaled to unit variance (population
-    variance plus ``eps``) before ``gain``/``bias`` are applied.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.value.ndim != 2:
-        raise DimensionError(f"layer_norm needs a 2-D input, got shape {x.value.shape}")
-    cols = x.value.shape[1]
+def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of the rows of the 2-D x in float64: each row is shifted to
+    mean 0 and scaled to unit variance (population variance plus ``eps``),
+    then the 1 x cols ``gain`` and ``bias`` are applied. Returns the output
+    and the normalized rows and their inverse deviations, the two arrays
+    ``layer_norm_backward`` takes after g."""
+    cols = x.shape[1]
     if cols < 2:
         raise DegenerateInputError(
             f"layer_norm over {cols} feature(s) is degenerate; need at least 2"
         )
-    if gain.value.size != cols or bias.value.size != cols:
-        raise DimensionError(
-            f"gain/bias sizes {gain.value.size}/{bias.value.size} do not match {cols} columns"
-        )
-    g_row = gain.value.reshape(1, cols)
-    b_row = bias.value.reshape(1, cols)
-
-    xhat = x.value.astype(np.float64)
+    xhat = x.astype(np.float64)
     xhat -= xhat.sum(axis=1, keepdims=True) / cols
     scratch = np.square(xhat)
     inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / cols + eps)
     xhat *= inv
-    np.multiply(xhat, g_row, out=scratch)
-    scratch += b_row
-    out_value = scratch.astype(x.value.dtype)
+    np.multiply(xhat, gain, out=scratch)
+    scratch += bias
+    return scratch, xhat, inv
 
-    def bw(out):
-        g = out.grad.astype(np.float64)
-        scratch = g * xhat
-        gain.accumulate_grad(scratch.sum(axis=0).reshape(gain.value.shape))
-        bias.accumulate_grad(g.sum(axis=0).reshape(bias.value.shape))
-        g *= g_row
-        np.multiply(g, xhat, out=scratch)
-        g -= g.sum(axis=1, keepdims=True) / cols
-        g -= np.multiply(xhat, scratch.sum(axis=1, keepdims=True) / cols, out=scratch)
-        g *= inv
-        x.accumulate_grad(g)
 
-    return Tensor(out_value, (x, gain, bias), bw)
+def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                        gain: np.ndarray, g_gain: np.ndarray, g_bias: np.ndarray
+                        ) -> np.ndarray:
+    """Reverse sweep of ``layer_norm_values`` for the output gradient g: adds
+    the gain and bias gradients into the caller's float64 buffers and returns
+    the gradient at x in float64."""
+    cols = xhat.shape[1]
+    g = g.astype(np.float64)
+    scratch = g * xhat
+    g_gain += scratch.sum(axis=0)
+    g_bias += g.sum(axis=0)
+    g *= gain
+    np.multiply(g, xhat, out=scratch)
+    g -= g.sum(axis=1, keepdims=True) / cols
+    g -= np.multiply(xhat, scratch.sum(axis=1, keepdims=True) / cols, out=scratch)
+    g *= inv
+    return g
 
 
 def normalize_rows_values(x: np.ndarray, strict: bool

@@ -175,12 +175,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _query_split(dataset: TokenDataset, split: str) -> list:
-    if split == "all":
-        return list(dataset.ground)
-    return dataset.split_ground(split)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     run_config, model = load_checkpoint(args.checkpoint)
     if args.radius_m is not None:
@@ -188,7 +182,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         run_config.validate()
     ks = _parse_ks(args.k) or tuple(run_config.eval_ks)
     dataset = _load_or_generate(args, run_config)
-    queries = _query_split(dataset, args.split)
+    queries = dataset.ground if args.split == "all" else dataset.split_ground(args.split)
     if not queries:
         raise DatasetValidationError(f"no ground observations in split {args.split!r}")
 
@@ -201,7 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.heatmap:
         target = args.query or queries[0].id
-        by_id = dataset.ground_by_id()
+        by_id = {obs.id: obs for obs in dataset.ground}
         if target not in by_id:
             raise DatasetValidationError(f"unknown query id {target!r} for heatmap")
         alpha = model.assignment_heatmap(by_id[target], mask=args.modality_mask)
@@ -213,35 +207,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     run_config, model = load_checkpoint(args.checkpoint)
     dataset = _load_or_generate(args, run_config)
-    entries = []
-    ground_vecs = model.embed_ground(dataset.ground)
-    aerial_vecs = model.embed_aerial(dataset.aerial)
-    for obs, vec in zip(dataset.ground, ground_vecs):
-        entries.append(
-            magt.ContainerEntry(
-                meta={
-                    "id": obs.id,
-                    "kind": "descriptor",
-                    "branch": "ground",
-                    "geo": [obs.geo[0], obs.geo[1]],
-                    "split": obs.split,
-                },
-                tensors={"descriptor": vec[None, :]},
-            )
+    entries = [
+        magt.ContainerEntry(
+            meta={
+                "id": item.id,
+                "kind": "descriptor",
+                "branch": branch,
+                "geo": [item.geo[0], item.geo[1]],
+                "split": item.split if branch == "ground" else "db",
+            },
+            tensors={"descriptor": vec[None, :]},
         )
-    for ref, vec in zip(dataset.aerial, aerial_vecs):
-        entries.append(
-            magt.ContainerEntry(
-                meta={
-                    "id": ref.id,
-                    "kind": "descriptor",
-                    "branch": "aerial",
-                    "geo": [ref.geo[0], ref.geo[1]],
-                    "split": "db",
-                },
-                tensors={"descriptor": vec[None, :]},
-            )
+        for branch, items, vecs in (
+            ("ground", dataset.ground, model.embed_ground(dataset.ground)),
+            ("aerial", dataset.aerial, model.embed_aerial(dataset.aerial)),
         )
+        for item, vec in zip(items, vecs)
+    ]
     n_bytes = magt.write_container(entries, args.out)
     print(f"wrote {len(entries)} descriptors to {args.out} ({n_bytes} bytes)")
     return 0

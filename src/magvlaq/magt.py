@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,9 +47,14 @@ class ContainerEntry:
 
 
 def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
-    """Write entries to path; returns the byte count. Deterministic layout."""
+    """Write entries to path; returns the byte count. Deterministic layout.
+
+    The bytes go to a new file beside path, which then replaces path, so a
+    write that fails or is killed leaves any earlier file at path whole.
+    A C-contiguous float32 tensor is written from its own memory, uncopied.
+    """
     header_entries = []
-    blobs: list[bytes] = []
+    arrays: list[np.ndarray] = []
     offset = 0
     for entry in entries:
         table = []
@@ -58,22 +64,27 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
                 raise CorruptContainerError(
                     f"tensor {name!r} must be 2-D, got shape {arr.shape}"
                 )
-            raw = arr.tobytes()
             table.append(
                 {"name": name, "rows": arr.shape[0], "cols": arr.shape[1], "offset": offset}
             )
-            blobs.append(raw)
-            offset += len(raw)
+            arrays.append(arr)
+            offset += arr.nbytes
         header_entries.append({**entry.meta, "tensors": table})
     header = json.dumps(
         {"entries": header_entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(_HEAD.pack(MAGIC, VERSION, len(header)))
-        f.write(header)
-        for raw in blobs:
-            f.write(raw)
+    partial = path.parent / f".{path.name}.{uuid.uuid4().hex}.partial"
+    try:
+        with open(partial, "xb") as f:
+            f.write(_HEAD.pack(MAGIC, VERSION, len(header)))
+            f.write(header)
+            for arr in arrays:
+                f.write(arr)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return _HEAD.size + len(header) + offset
 
 

@@ -15,6 +15,8 @@ their descriptors precomputable offline.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +30,9 @@ from .params import Layer, ParamStore, Source, init_mlp, init_weight
 from .tokens import AerialReference, GroundObservation
 
 AGGREGATORS = ("pooling", "static-vlaq", "ode-vlaq")
-MODALITY_MASKS = ("both", "image-only", "lidar-only")
+# The ground modalities each sensor mask keeps.
+_MASKS = {"both": ("image", "lidar"), "image-only": ("image",), "lidar-only": ("lidar",)}
+MODALITY_MASKS = tuple(_MASKS)
 # Items per batch when embedding a list; it bounds the memory of one batch.
 EMBED_CHUNK = 64
 
@@ -86,15 +90,11 @@ class GroundForward:
 
 
 def _mask_modalities(mask: str) -> tuple[str, ...]:
-    if mask not in MODALITY_MASKS:
+    if mask not in _MASKS:
         raise ConfigurationError(
             f"unknown modality mask {mask!r}; expected one of {MODALITY_MASKS}"
         )
-    if mask == "image-only":
-        return ("image",)
-    if mask == "lidar-only":
-        return ("lidar",)
-    return ("image", "lidar")
+    return _MASKS[mask]
 
 
 class PlaceModel:
@@ -183,25 +183,47 @@ class PlaceModel:
 
     # ----- token preprocessing -------------------------------------------
 
-    def _check_tokens(self, tokens: np.ndarray, owner: str) -> None:
-        if tokens.ndim != 2 or tokens.shape[1] != self.config.raw_dim:
-            raise DimensionError(
-                f"{owner}: token matrix shape {tokens.shape} does not match "
-                f"raw dim {self.config.raw_dim}"
-            )
+    def project_tokens(self, mats: Sequence[np.ndarray], modality: str,
+                       owners: Sequence[str]) -> ad.Tensor:
+        """Project token matrices into the working space as one node, their
+        rows stacked in list order; ground modalities are additionally
+        layer-normalized per token, aerial tokens are not. Each matrix is
+        multiplied and normalized on its own, so its rows are those of a
+        list that holds it alone."""
+        xs = [np.asarray(m, dtype=self.dtype) for m in mats]
+        for x, owner in zip(xs, owners):
+            if x.ndim != 2 or x.shape[1] != self.config.raw_dim:
+                raise DimensionError(
+                    f"{owner}: token matrix shape {x.shape} does not match "
+                    f"raw dim {self.config.raw_dim}"
+                )
+        w, norm = self.proj[modality], self.ln.get(modality)
+        starts = [0, *itertools.accumulate(len(x) for x in xs)]
+        out = np.empty((starts[-1], self.config.proj_dim), self.dtype)
+        saved = []
+        for x, start, stop in zip(xs, starts, starts[1:]):
+            rows = out[start:stop]
+            np.matmul(x, w.value, out=rows)
+            if norm is not None:
+                out64, *state = ad.layer_norm_values(rows, norm[0].value, norm[1].value)
+                rows[...] = out64
+                if ad.grad_enabled():
+                    saved.append(state)
 
-    def project_tokens(self, tokens: np.ndarray, modality: str,
-                       owner: str = "tokens") -> ad.Tensor:
-        """Project raw tokens into the working space; ground modalities are
-        additionally layer-normalized per token, aerial tokens are not."""
-        self._check_tokens(tokens, owner)
-        projected = ad.matmul(
-            ad.constant(np.asarray(tokens, dtype=self.dtype)), self.proj[modality]
-        )
-        if modality == "aerial":
-            return projected
-        gain, bias = self.ln[modality]
-        return ad.layer_norm(projected, gain, bias)
+        def bw(node):
+            g_w = np.zeros_like(w.value)
+            g_ln = np.zeros((2, out.shape[1]))
+            for i, (x, start, stop) in enumerate(zip(xs, starts, starts[1:])):
+                g = node.grad[start:stop]
+                if norm is not None:
+                    g = ad.layer_norm_backward(g, *saved[i], norm[0].value, *g_ln)
+                    g = g.astype(self.dtype)
+                g_w += x.T @ g
+            w.accumulate_grad(g_w)
+            for p, g in zip(norm or (), g_ln):
+                p.accumulate_grad(g.reshape(p.value.shape))
+
+        return ad.Tensor(out, (w, *(norm or ())), bw)
 
     def _ground_scales(self, obs: GroundObservation, modality: str) -> list[np.ndarray]:
         scales = obs.image.scales if modality == "image" else obs.lidar.scales
@@ -213,24 +235,18 @@ class PlaceModel:
 
     # ----- fusion + conditioning -----------------------------------------
 
-    def fusion_embedding(self, ground: GroundObservation | GroundBatch,
+    def fusion_embedding(self, batch: GroundBatch,
                          modalities: tuple[str, ...] = ("image", "lidar")) -> ad.Tensor:
         """Run the cascade over all scales of the unmasked modalities, one
-        row per observation of a batch (or one row for an observation)."""
-        batch = ground if isinstance(ground, GroundBatch) else GroundBatch(self, [ground])
-        messages = []
-        for idx in range(self.config.num_scales):
-            terms = []
-            for modality in modalities:
-                pooled = [ad.mean_rows(t) for t in batch.scale_tokens(modality, idx)]
-                terms.append(
-                    ad.mlp_forward(
-                        ad.concat_rows(pooled),
-                        self.msg_layers[modality][idx],
-                        activation=self.config.activation,
-                    )
-                )
-            messages.append(terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1]))
+        row per observation of the batch."""
+        messages = [
+            functools.reduce(ad.add, [
+                ad.mlp_forward(ad.mean_rows(*batch.scale_tokens(modality, idx)),
+                               self.msg_layers[modality][idx], self.config.activation)
+                for modality in modalities
+            ])
+            for idx in range(self.config.num_scales)
+        ]
         return fusion.fuse(messages, self.dyn_layers, self.config.activation,
                            self.config.ode_steps, self.config.horizon)
 
@@ -262,8 +278,7 @@ class PlaceModel:
                 or self.config.aggregator == "pooling"):
             return [self.prototypes] * n, [None] * n
         shifts = self.predict_query_shift(self.fusion_embedding(batch, modalities))
-        s = self.config.num_queries
-        deltas = [ad.slice_rows(shifts, i * s, (i + 1) * s) for i in range(n)]
+        deltas = _split_rows(shifts, [self.config.num_queries] * n)
         return [self.adapt_prototypes(d) for d in deltas], deltas
 
     def _pre_head(self, tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
@@ -290,10 +305,15 @@ class PlaceModel:
         rows = [self._pre_head(t, bank) for t, bank in zip(batch.tokens(modalities), banks)]
         return rows, deltas
 
-    def aerial_row(self, ref: AerialReference) -> ad.Tensor:
-        """Pre-head row of an aerial reference, always over the shared bank."""
-        tokens = self.project_tokens(ref.token_set.scales[-1], "aerial", ref.id)
-        return self._pre_head(tokens, self.prototypes)
+    def aerial_rows(self, refs: Sequence[AerialReference]) -> list[ad.Tensor]:
+        """Pre-head rows of aerial references, always over the shared bank;
+        their tokens go through one projection node."""
+        mats = [ref.token_set.scales[-1] for ref in refs]
+        projected = self.project_tokens(mats, "aerial", [ref.id for ref in refs])
+        return [
+            self._pre_head(t, self.prototypes)
+            for t in _split_rows(projected, [len(m) for m in mats])
+        ]
 
     def ground_forward(self, obs: GroundObservation, mask: str = "both",
                        conditioned: bool | None = None) -> GroundForward:
@@ -308,7 +328,7 @@ class PlaceModel:
     def aerial_descriptor(self, ref: AerialReference) -> ad.Tensor:
         """Descriptor for an aerial reference; never conditioned, so databases
         can be embedded once and reused for every query."""
-        return self.head([self.aerial_row(ref)])
+        return self.head(self.aerial_rows([ref]))
 
     def assignment_heatmap(self, obs: GroundObservation, mask: str = "both",
                            conditioned: bool | None = None) -> np.ndarray:
@@ -345,11 +365,18 @@ class PlaceModel:
 
     def embed_aerial(self, references: Sequence[AerialReference]) -> np.ndarray:
         """Descriptors of aerial references (N x out_dim, input order)."""
-        return self._embed(references, lambda chunk: [self.aerial_row(r) for r in chunk])
+        return self._embed(references, self.aerial_rows)
+
+
+def _split_rows(stacked: ad.Tensor, counts: Sequence[int]) -> list[ad.Tensor]:
+    """Consecutive row blocks of the given sizes, one slice_rows node each."""
+    starts = [0, *itertools.accumulate(counts)]
+    return [ad.slice_rows(stacked, start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 class GroundBatch:
-    """Ground observations whose token matrices are projected on use.
+    """Ground observations whose token matrices are projected on use, one
+    projection node per (modality, scale) for the whole batch.
 
     The last scale of each modality is projected once and then shared by
     the fusion cascade and every sensor view of the batch. The other scales
@@ -361,18 +388,18 @@ class GroundBatch:
                  observations: Sequence[GroundObservation]) -> None:
         self.model = model
         self.observations = list(observations)
-        self._last_scale: dict[str, list[ad.Tensor]] = {}
+        self._last_scale: dict[str, tuple[ad.Tensor, list[int]]] = {}
+        self._rows: dict[str, list[ad.Tensor]] = {}
 
-    def scale_tokens(self, modality: str, idx: int) -> list[ad.Tensor]:
-        """Projected tokens of one modality at one scale, per observation."""
+    def scale_tokens(self, modality: str, idx: int) -> tuple[ad.Tensor, list[int]]:
+        """Projected tokens of one modality at one scale, every observation's
+        rows stacked in batch order, and each observation's row count."""
         last = idx == self.model.config.num_scales - 1
         if last and modality in self._last_scale:
             return self._last_scale[modality]
-        model = self.model
-        projected = [
-            model.project_tokens(model._ground_scales(obs, modality)[idx], modality, obs.id)
-            for obs in self.observations
-        ]
+        mats = [self.model._ground_scales(obs, modality)[idx] for obs in self.observations]
+        ids = [obs.id for obs in self.observations]
+        projected = self.model.project_tokens(mats, modality, ids), [len(m) for m in mats]
         if last:
             self._last_scale[modality] = projected
         return projected
@@ -381,5 +408,7 @@ class GroundBatch:
         """Aggregation input per observation: the last scale of each
         unmasked modality, stacked by rows."""
         last = self.model.config.num_scales - 1
-        per_modality = [self.scale_tokens(m, last) for m in modalities]
-        return [ad.concat_rows(parts) for parts in zip(*per_modality)]
+        for m in modalities:
+            if m not in self._rows:
+                self._rows[m] = _split_rows(*self.scale_tokens(m, last))
+        return [ad.concat_rows(parts) for parts in zip(*(self._rows[m] for m in modalities))]

@@ -59,12 +59,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> ad.Tensor:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def __len__(self) -> int:
-        return len(self.params)
-
     def names(self) -> list[str]:
         return sorted(self.params)
 

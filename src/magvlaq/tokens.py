@@ -70,9 +70,6 @@ class TokenDataset:
     ground: list[GroundObservation] = field(default_factory=list)
     aerial: list[AerialReference] = field(default_factory=list)
 
-    def ground_by_id(self) -> dict[str, GroundObservation]:
-        return {g.id: g for g in self.ground}
-
     def split_ground(self, split: str) -> list[GroundObservation]:
         return [g for g in self.ground if g.split == split]
 
@@ -80,10 +77,6 @@ class TokenDataset:
 class Violation(NamedTuple):
     entry_id: str
     rule: str
-
-
-def _geo_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def _check_token_set(ts: TokenSet, expected_kind: str, out: list[Violation]) -> None:
@@ -146,7 +139,7 @@ def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0) -> list[Violati
 
     for obs in dataset.ground:
         if obs.split == "train" and not any(
-            _geo_distance(obs.geo, ref.geo) < tau_p for ref in dataset.aerial
+            math.dist(obs.geo, ref.geo) < tau_p for ref in dataset.aerial
         ):
             out.append(Violation(obs.id, "orphan-query"))
     return out
@@ -161,33 +154,22 @@ def save_token_file(dataset: TokenDataset, path: str | Path, tau_p: float = 10.0
             f"dataset invalid ({len(violations)} violation(s)); first: "
             f"{v.rule} on {v.entry_id!r}"
         )
-    entries = []
-    for obs in dataset.ground:
-        for part, ts in (("image", obs.image), ("lidar", obs.lidar)):
-            entries.append(
-                magt.ContainerEntry(
-                    meta={
-                        "id": f"{obs.id}#{part}",
-                        "kind": ts.kind,
-                        "geo": [float(ts.geo[0]), float(ts.geo[1])],
-                        "split": obs.split,
-                    },
-                    tensors={f"scale_{i}": arr for i, arr in enumerate(ts.scales)},
-                )
-            )
-    for ref in dataset.aerial:
-        entries.append(
-            magt.ContainerEntry(
-                meta={
-                    "id": ref.id,
-                    "kind": AERIAL,
-                    "geo": [float(ref.geo[0]), float(ref.geo[1])],
-                    "split": "db",
-                    "modality_tag": ref.modality_tag,
-                },
-                tensors={f"scale_{i}": arr for i, arr in enumerate(ref.token_set.scales)},
-            )
+
+    def entry(entry_id: str, ts: TokenSet, split: str, **meta) -> magt.ContainerEntry:
+        return magt.ContainerEntry(
+            meta={"id": entry_id, "kind": ts.kind, "split": split,
+                  "geo": [float(ts.geo[0]), float(ts.geo[1])], **meta},
+            tensors={f"scale_{i}": arr for i, arr in enumerate(ts.scales)},
         )
+
+    entries = [
+        entry(f"{obs.id}#{part}", getattr(obs, part), obs.split)
+        for obs in dataset.ground for part in ("image", "lidar")
+    ]
+    entries += [
+        entry(ref.id, ref.token_set, "db", modality_tag=ref.modality_tag)
+        for ref in dataset.aerial
+    ]
     return magt.write_container(entries, path)
 
 

@@ -10,6 +10,7 @@ prototype shifts.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -177,10 +178,7 @@ def query_shift_regularizer(deltas: list[ad.Tensor | None]) -> ad.Tensor:
     terms = [ad.sum_all(ad.mul(d, d)) for d in deltas if d is not None]
     if not terms:
         return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(deltas))
+    return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(deltas))
 
 
 def total_loss(l_tri: ad.Tensor, l_aux: ad.Tensor, l_q: ad.Tensor,
@@ -273,7 +271,7 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     lidar, _ = model.ground_rows(batch, mask="lidar-only", conditioned=False)
     ground_count = 3 * len(anchors)
     descriptors = model.head(
-        [*fused, *image, *lidar, *(model.aerial_row(ref) for _, ref in refs)]
+        [*fused, *image, *lidar, *model.aerial_rows([ref for _, ref in refs])]
     )
     distances = ad.pairwise_distance(
         ad.slice_rows(descriptors, 0, ground_count),

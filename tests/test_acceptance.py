@@ -21,10 +21,10 @@ import pytest
 from magvlaq import autodiff as ad
 from magvlaq import cli, config, fusion, retrieval, tokens, training, vlaq
 from magvlaq.config import RunConfig
-from magvlaq.model import ModelConfig, PlaceModel
+from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
 from magvlaq.tokens import SynthConfig
 from magvlaq.training import MiningThresholds, TrainSettings
-from oracles import brute_force_vlaq, finite_difference_grad, mlp_forward
+from oracles import brute_force_vlaq, finite_difference_grad, layer_norm, mlp_forward
 
 ARTIFACTS: dict[str, dict] = {}
 VERDICTS: list[str] = []
@@ -227,14 +227,15 @@ def test_zero_dynamics_reduce_fusion_to_message_sum():
         dataset = tokens.generate_synthetic_dataset(synth, 6)
         with ad.no_grad():
             for obs in dataset.ground:
-                fused = model.fusion_embedding(obs).value
+                fused = model.fusion_embedding(GroundBatch(model, [obs])).value
                 expected = np.zeros((1, cfg.fuse_dim), dtype=np.float64)
                 for idx in range(cfg.num_scales):
                     for modality in ("image", "lidar"):
                         ts = obs.image if modality == "image" else obs.lidar
-                        pooled = ad.mean_rows(
-                            model.project_tokens(ts.scales[idx], modality)
-                        )
+                        pooled = ad.mean_rows(layer_norm(
+                            ad.matmul(ad.constant(ts.scales[idx]), model.proj[modality]),
+                            *model.ln[modality],
+                        ))
                         expected += mlp_forward(
                             pooled,
                             model.msg_layers[modality][idx],

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,12 +197,58 @@ def test_mean_rows_value_and_empty_error():
         ad.mean_rows(ad.Tensor(np.empty((0, 4))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_means_equal_stacked_single_segment_means(dtype):
+    rng = np.random.default_rng(13)
+    counts = [1, 5, 2, 17, 1]
+    x = (rng.standard_normal((sum(counts), 7)) * 3.0 + 1.0).astype(dtype)
+    ends = np.cumsum(counts)
+    want = np.concatenate(
+        [ad.mean_rows(ad.Tensor(x[e - n : e])).value for n, e in zip(counts, ends)]
+    )
+    got = ad.mean_rows(ad.Tensor(x), counts).value
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    numpy_means = [x[e - n : e].mean(axis=0, keepdims=True, dtype=np.float64)
+                   for n, e in zip(counts, ends)]
+    assert got.tobytes() == np.concatenate(numpy_means).astype(dtype).tobytes()
+    upstream = rng.standard_normal((len(counts), 7)).astype(dtype)
+    grads = []
+    for parts in ([ad.Tensor(x)], [ad.Tensor(x[e - n : e].copy()) for n, e in zip(counts, ends)]):
+        means = (ad.mean_rows(parts[0], counts) if len(parts) == 1
+                 else ad.concat_rows([ad.mean_rows(p) for p in parts]))
+        ad.backward(ad.sum_all(ad.mul(means, ad.constant(upstream))))
+        grads.append(np.concatenate([p.grad for p in parts]))
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_segment_means_reject_empty_or_mismatched_segments():
+    x = ad.Tensor(np.ones((4, 3)))
+    for counts in ([4, 0], [2, 1], [3, 2], []):
+        with pytest.raises(DegenerateInputError, match="row counts"):
+            ad.mean_rows(x, counts)
+
+
+def _layer_norm(x, gain, bias):
+    """The layer-norm pair as the projection node uses it, wrapped as a node."""
+    out64, xhat, inv = ad.layer_norm_values(x.value, gain.value, bias.value)
+
+    def bw(out):
+        g_gain, g_bias = np.zeros(gain.value.size), np.zeros(bias.value.size)
+        x.accumulate_grad(
+            ad.layer_norm_backward(out.grad, xhat, inv, gain.value, g_gain, g_bias)
+        )
+        gain.accumulate_grad(g_gain.reshape(gain.value.shape))
+        bias.accumulate_grad(g_bias.reshape(bias.value.shape))
+
+    return ad.Tensor(out64.astype(x.value.dtype), (x, gain, bias), bw)
+
+
 def test_layer_norm_normalizes_rows():
     rng = np.random.default_rng(5)
     x = _rand(rng, 6, 16) * 3.0 + 2.0
     gain = ad.Tensor(np.ones((1, 16)))
     bias = ad.Tensor(np.zeros((1, 16)))
-    out = ad.layer_norm(ad.Tensor(x), gain, bias).value
+    out = _layer_norm(ad.Tensor(x), gain, bias).value
     np.testing.assert_allclose(out.mean(axis=1), np.zeros(6), atol=1e-7)
     np.testing.assert_allclose(out.std(axis=1), np.ones(6), atol=1e-4)
 
@@ -211,13 +260,12 @@ def test_layer_norm_gradients_and_degenerate_width():
     bias = ad.Tensor(_rand(rng, 1, 8))
     w = _rand(rng, 3, 8)
     _fd_check(
-        lambda: ad.sum_all(ad.mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))),
+        lambda: ad.sum_all(ad.mul(_layer_norm(x, gain, bias), ad.Tensor(w))),
         [x, gain, bias],
         tol=1e-5,
     )
     with pytest.raises(DegenerateInputError):
-        ad.layer_norm(ad.Tensor(np.ones((3, 1))), ad.Tensor(np.ones((1, 1))),
-                      ad.Tensor(np.zeros((1, 1))))
+        ad.layer_norm_values(np.ones((3, 1)), np.ones((1, 1)), np.zeros((1, 1)))
 
 
 def test_l2_normalize_unit_norm_and_zero_rejection():
@@ -265,7 +313,7 @@ def test_pass_through_row_norm_keeps_zero_rows_zero():
 
 
 LEAN_KERNELS = {
-    "layer_norm": (ad.layer_norm, oracles.layer_norm),
+    "layer_norm": (_layer_norm, oracles.layer_norm),
     "l2_normalize": (ad.l2_normalize, lambda x: oracles.normalize_rows(x, strict=True)),
     "pass_through_rows": (
         _pass_through_rows, lambda x: oracles.normalize_rows(x, strict=False)
@@ -325,7 +373,7 @@ def test_layer_norm_peaks_at_three_float64_copies_of_its_input():
     limit = 3 * x.value.size * 8
     tracemalloc.start()
     try:
-        out = ad.layer_norm(x, gain, bias)
+        out = _layer_norm(x, gain, bias)
         forward_peak = tracemalloc.get_traced_memory()[1]
         out.accumulate_grad(upstream)
         held = tracemalloc.get_traced_memory()[0]
@@ -428,3 +476,21 @@ def test_float32_is_default_and_float64_is_preserved():
     out = ad.add(ad.Tensor(np.ones((1, 1), dtype=np.float64)),
                  ad.Tensor(np.ones((1, 1), dtype=np.float64)))
     assert out.value.dtype == np.float64
+
+
+def test_every_public_autodiff_name_has_a_caller_elsewhere_in_src():
+    """Oracles live in tests/: a public name of autodiff.py that no other
+    module of the package reads through ``ad.`` is dead code."""
+    source = Path(ad.__file__)
+    defined = set()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    others = "\n".join(p.read_text() for p in source.parent.glob("*.py") if p != source)
+    unused = sorted(
+        name for name in defined
+        if not name.startswith("_") and not re.search(rf"\bad\.{name}\b", others)
+    )
+    assert not unused, unused

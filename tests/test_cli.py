@@ -185,6 +185,33 @@ def test_load_checkpoint_peaks_below_one_and_a_quarter_file_sizes(tmp_path):
     assert peak < 1.25 * size, f"peak {peak / size:.2f}x the file size"
 
 
+def test_save_checkpoint_copies_no_tensor(tmp_path):
+    """A default checkpoint is ~57 MiB; its tensors go to the file from their
+    own memory, so the save allocates little beyond the JSON header."""
+    cfg = config.RunConfig()
+    model = PlaceModel(cfg.model_config(), seed=cfg.seed)
+    path = tmp_path / "ckpt.magt"
+    tracemalloc.start()
+    try:
+        size = cli.save_checkpoint(model, cfg, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 50 * 2**20
+    assert peak < 2**20, peak
+
+
+def test_export_onto_a_directory_exits_3_and_leaves_no_partial_file(trained, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "descriptors"
+    out.mkdir()
+    assert cli.main(["export", "--checkpoint", str(trained / "checkpoint.magt"),
+                     "--out", str(out)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["descriptors"]
+    assert not any(out.iterdir())
+
+
 def test_loaded_checkpoint_evaluates_like_the_model_that_saved_it(tmp_path, capsys):
     cfg = config.config_from_mapping(dict(TINY))
     model = PlaceModel(cfg.model_config(), seed=cfg.seed)

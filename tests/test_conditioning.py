@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
 from magvlaq import autodiff as ad
 from magvlaq import tokens, vlaq
 from magvlaq.errors import ConfigurationError, DimensionError
@@ -79,7 +80,7 @@ def test_prototype_shift_is_exactly_zero_at_init(dataset):
     m = PlaceModel(MODEL, seed=5)
     obs = dataset.ground[0]
     with ad.no_grad():
-        delta = m.predict_query_shift(m.fusion_embedding(obs))
+        delta = m.predict_query_shift(m.fusion_embedding(GroundBatch(m, [obs])))
     assert np.count_nonzero(delta.value) == 0
     with ad.no_grad():
         bank = m.adapt_prototypes(delta)
@@ -229,8 +230,12 @@ def test_pooling_descriptor_is_mean_projection():
         got = m.ground_forward(obs).descriptor.value
         toks = np.concatenate(
             [
-                m.project_tokens(obs.image.scales[-1], "image").value,
-                m.project_tokens(obs.lidar.scales[-1], "lidar").value,
+                oracles.layer_norm(
+                    ad.matmul(ad.constant(getattr(obs, modality).scales[-1]),
+                              m.proj[modality]),
+                    *m.ln[modality],
+                ).value
+                for modality in ("image", "lidar")
             ]
         )
     pooled = toks.mean(axis=0, keepdims=True, dtype=np.float64).astype(np.float32)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from magvlaq import autodiff as ad
 from magvlaq import fusion, tokens
 from magvlaq.errors import ConfigurationError, DivergenceError
-from magvlaq.model import ModelConfig, PlaceModel
-from oracles import finite_difference_grad, mlp_forward, rk4_unrolled
+from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
+from oracles import finite_difference_grad, layer_norm, mlp_forward, rk4_unrolled
 
 
 def _linear(w, b=None) -> list[tuple[ad.Tensor, ad.Tensor]]:
@@ -224,11 +224,13 @@ def test_fusion_embedding_at_init_sums_modality_messages():
     obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
     for modalities in (("image", "lidar"), ("image",), ("lidar",)):
         with ad.no_grad():
-            got = model.fusion_embedding(obs, modalities).value
+            got = model.fusion_embedding(GroundBatch(model, [obs]), modalities).value
             want = sum(
                 mlp_forward(
-                    ad.mean_rows(model.project_tokens(
-                        getattr(obs, modality).scales[idx], modality
+                    ad.mean_rows(layer_norm(
+                        ad.matmul(ad.constant(getattr(obs, modality).scales[idx]),
+                                  model.proj[modality]),
+                        *model.ln[modality],
                     )),
                     model.msg_layers[modality][idx],
                 ).value.astype(np.float64)
@@ -255,7 +257,7 @@ def test_fusion_embedding_records_one_node_per_flow():
     that scale's dynamics weights as parents."""
     model = PlaceModel(SMALL_MODEL, seed=3)
     obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
-    nodes = _graph_nodes(model.fusion_embedding(obs))
+    nodes = _graph_nodes(model.fusion_embedding(GroundBatch(model, [obs])))
     for layers in model.dyn_layers:
         params = {id(t) for layer in layers for t in layer}
         flows = [n for n in nodes if params & {id(p) for p in n._parents}]
@@ -268,7 +270,9 @@ def test_each_message_and_conditioner_mlp_is_one_node():
     apiece: the only node with that MLP's weights as parents."""
     model = PlaceModel(SMALL_MODEL, seed=3)
     obs = tokens.generate_synthetic_dataset(SMALL_SYNTH, 3).ground[0]
-    nodes = _graph_nodes(model.predict_query_shift(model.fusion_embedding(obs)))
+    nodes = _graph_nodes(
+        model.predict_query_shift(model.fusion_embedding(GroundBatch(model, [obs])))
+    )
     mlps = [*model.msg_layers["image"], *model.msg_layers["lidar"], model.cond_layers]
     assert len(mlps) == 2 * SMALL_MODEL.num_scales + 1
     for layers in mlps:

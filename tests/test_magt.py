@@ -91,6 +91,42 @@ def test_write_rejects_non_2d_tensors(tmp_path):
         magt.write_container([entry], tmp_path / "t.magt")
 
 
+def test_failed_write_leaves_the_previous_file_and_no_partial_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "t.magt"
+    magt.write_container([_entry(rng, n_tensors=3)], path)
+    before = path.read_bytes()
+
+    class FailingFile(io.FileIO):
+        """Takes the fixed header and the JSON, then fails in the blobs."""
+
+        writes = 0
+
+        def write(self, data):
+            FailingFile.writes += 1
+            if FailingFile.writes == 3:
+                super().write(bytes(memoryview(data).cast("B")[:5]))
+                raise OSError(28, "No space left on device")
+            return super().write(data)
+
+    monkeypatch.setattr(magt, "open", lambda file, mode: FailingFile(file, mode[0] + "b"),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        magt.write_container([_entry(rng, n_tensors=3)], path)
+    assert FailingFile.writes == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.magt"]
+
+
+def test_write_onto_a_directory_fails_and_leaves_no_partial_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        magt.write_container([_entry(np.random.default_rng(5))], target)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert not any(target.iterdir())
+
+
 def _valid_bytes(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "ok.magt"

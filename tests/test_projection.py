@@ -1,0 +1,143 @@
+"""Token projection: one node per (modality, scale) and batch, against the
+composed matmul -> layer norm oracle, and its place in a training batch."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from magvlaq import autodiff as ad
+from magvlaq import tokens
+from magvlaq.errors import DimensionError
+from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
+
+MODALITIES = ("image", "lidar", "aerial")
+
+
+def _model(dtype) -> PlaceModel:
+    """A model with the default token and projection widths (96 -> 128) and
+    a small bank, whose layer-norm gains and biases are not the identity, so
+    the oracle comparison exercises the affine map."""
+    model = PlaceModel(ModelConfig(num_queries=4, out_dim=16), seed=2, dtype=dtype)
+    rng = np.random.default_rng(3)
+    for gain, bias in model.ln.values():
+        gain.value[...] = rng.uniform(0.5, 1.5, gain.value.shape)
+        bias.value[...] = rng.normal(0.0, 0.1, bias.value.shape)
+    return model
+
+
+def _token_mats(batch: int, ragged: bool, seed: int) -> list[np.ndarray]:
+    """Float32 token matrices, as containers hold them; one token each, or
+    ragged counts that start with a single token."""
+    rng = np.random.default_rng(seed)
+    counts = [1, *rng.integers(1, 70, batch - 1)] if ragged else [1] * batch
+    return [
+        (rng.standard_normal((n, 96)) * 2.0 + rng.standard_normal()).astype(np.float32)
+        for n in counts
+    ]
+
+
+def _oracle(model: PlaceModel, x: np.ndarray, modality: str) -> ad.Tensor:
+    projected = ad.matmul(ad.constant(np.asarray(x, dtype=model.dtype)), model.proj[modality])
+    if modality == "aerial":
+        return projected
+    return oracles.layer_norm(projected, *model.ln[modality])
+
+
+def _bounds(mats):
+    ends = np.cumsum([len(m) for m in mats])
+    return [(int(e) - len(m), int(e)) for m, e in zip(mats, ends)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 17])
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_projection_rows_match_the_composed_oracle_bit_for_bit(modality, ragged, batch,
+                                                               dtype):
+    model = _model(dtype)
+    mats = _token_mats(batch, ragged, seed=batch)
+    with ad.no_grad():
+        got = model.project_tokens(mats, modality, [f"o{i}" for i in range(batch)]).value
+        assert got.dtype == dtype and got.shape == (sum(map(len, mats)), 128)
+        for x, (start, stop) in zip(mats, _bounds(mats)):
+            assert got[start:stop].tobytes() == _oracle(model, x, modality).value.tobytes()
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_projection_gradients_match_the_composed_oracle(modality):
+    model = _model(np.float64)
+    mats = _token_mats(5, ragged=True, seed=7)
+    upstream = np.random.default_rng(8).standard_normal((sum(map(len, mats)), 128))
+    params = [model.proj[modality], *model.ln.get(modality, ())]
+    grads = []
+    for build in (
+        lambda: model.project_tokens(mats, modality, ["o"] * len(mats)),
+        lambda: ad.concat_rows([_oracle(model, x, modality) for x in mats]),
+    ):
+        model.store.zero_grads()
+        ad.backward(ad.sum_all(ad.mul(build(), ad.constant(upstream))))
+        grads.append([p.grad.copy() for p in params])
+    for got, want in zip(*grads):
+        scale = max(float(np.abs(want).max()), 1e-300)
+        assert float(np.abs(got - want).max()) <= 1e-9 * scale
+
+
+def test_projection_names_the_owner_of_a_bad_matrix():
+    model = _model(np.float32)
+    mats = _token_mats(3, ragged=True, seed=1)
+    mats[1] = mats[1][:, :95]
+    with pytest.raises(DimensionError, match="o1: token matrix shape"):
+        model.project_tokens(mats, "image", ["o0", "o1", "o2"])
+
+
+def _nodes(root) -> list:
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_a_batch_projects_each_modality_and_scale_once():
+    """With a tape, the fused and the unconditioned single-sensor views of a
+    batch, as a training batch takes them, read one projection node per
+    (modality, scale): the only nodes with a projection weight as parent."""
+    cfg = ModelConfig(raw_dim=12, proj_dim=10, num_queries=4, out_dim=16, fuse_dim=6,
+                      num_scales=3, msg_hidden=8, dyn_hidden=8, cond_hidden=8)
+    synth = tokens.SynthConfig(num_places=3, place_spacing=40.0, train_per_place=2,
+                               test_per_place=0, num_scales=3, tokens_per_scale=8,
+                               token_dim=12, latent_dim=5, noise=0.1)
+    model = PlaceModel(cfg, seed=3)
+    batch = GroundBatch(model, tokens.generate_synthetic_dataset(synth, 3).ground)
+    rows = [
+        *model.ground_rows(batch)[0],
+        *model.ground_rows(batch, "image-only", conditioned=False)[0],
+        *model.ground_rows(batch, "lidar-only", conditioned=False)[0],
+    ]
+    nodes = _nodes(model.head(rows))
+    for modality in ("image", "lidar"):
+        users = [n for n in nodes if any(p is model.proj[modality] for p in n._parents)]
+        assert len(users) == cfg.num_scales
+
+
+def test_embedding_64_default_observations_stays_under_15_mib():
+    """The layer norm's float64 scratch spans one observation's rows, so
+    embedding a full chunk peaks no higher than the per-observation path."""
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(), seed=0)
+    observations = dataset.ground[:64]
+    model.embed_ground(observations[:2])
+    tracemalloc.start()
+    try:
+        model.embed_ground(observations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(observations) == 64
+    assert peak <= 15 * 2**20, peak

@@ -563,7 +563,7 @@ def test_batched_loss_matches_list_based_oracle(tiny_dataset, aggregator):
 
 def test_zero_pre_head_row_in_a_batch_is_degenerate(tiny_dataset):
     m = PlaceModel(MODEL, seed=3)
-    good = m.aerial_row(tiny_dataset.aerial[0])
+    good = m.aerial_rows(tiny_dataset.aerial[:1])[0]
     zero = ad.Tensor(np.zeros_like(good.value))
     with pytest.raises(DegenerateInputError, match="row 1"):
         m.head([good, zero, good])
@@ -605,14 +605,14 @@ def test_each_token_sets_residual_features_is_one_node(tiny_dataset):
             assert tokens.value.tobytes() == token_set.value.tobytes()
             assert (bank is model.prototypes) == (delta is None)
             assert row.value.tobytes() == oracles.residual_features(tokens, bank).value.tobytes()
-    for ref in positives:
-        row = model.aerial_row(ref)
+    for row in model.aerial_rows(positives):
         assert row._parents[1] is model.prototypes and len(row._parents) == 2
 
 
 def test_default_training_batch_tape_stays_small():
     """A default-config ode-vlaq batch of 16 anchors: one residual-features
-    node per token set keeps the nodes with a backward at or under 650."""
+    node per token set and one projection node per (modality, scale) keep
+    the nodes with a backward at or under 300."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = PlaceModel(ModelConfig(), seed=0)
     settings = training.TrainSettings()
@@ -625,4 +625,4 @@ def test_default_training_batch_tape_stays_small():
     )[3]
     assert len(anchors) == 16
     swept = sum(node._backward is not None for node in _tape(total))
-    assert swept <= 650, swept
+    assert swept <= 300, swept
