@@ -8,7 +8,9 @@ in place on one float64 copy of their input plus at most one scratch buffer,
 and take a mean as ``sum / n`` (np.mean's bits). The MLP, the layer norm
 and the row normalization are numpy values/backward pairs, so a node that
 fuses several steps (an RK4 flow, a token set's residual features, a
-token projection) reuses them."""
+token projection) reuses them. A training batch's objective is one numpy
+node too (``training.objective``), so ``add`` of two same-shape matrices
+and ``scale`` are the only elementwise ops: nothing broadcasts."""
 
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ class Tensor:
     """
 
     __slots__ = ("value", "_grad", "_parents", "_backward")
-    is_constant = False
 
     def __init__(self, value, parents=(), backward=None):
         arr = np.asarray(value)
@@ -87,8 +88,6 @@ class Tensor:
     def accumulate_grad(self, g) -> None:
         if self._grad is None:
             self._grad = np.array(g, dtype=self.value.dtype, copy=True)
-            if self._grad.shape != self.value.shape:
-                self._grad = np.broadcast_to(self._grad, self.value.shape).copy()
         else:
             self._grad += g
 
@@ -104,67 +103,21 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"
 
 
-class _Constant(Tensor):
-    """A leaf whose gradient is never computed or stored."""
-
-    __slots__ = ()
-    is_constant = True
-
-    def accumulate_grad(self, g) -> None:
-        pass
-
-
-def constant(value) -> Tensor:
-    """Wrap an array as a leaf that no backward pass differentiates, such
-    as raw input tokens; ops skip the gradient work for such operands."""
-    return _Constant(value)
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype) if dtype is not None else np.asarray(x)
-    return Tensor(arr)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes numpy broadcast during the forward op."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def add(a, b) -> Tensor:
+    """Elementwise sum of two matrices of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value + b.value
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"add needs one shape, got {a.value.shape} and {b.value.shape}")
 
     def bw(out):
-        g = out.grad
-        if not a.is_constant:
-            a.accumulate_grad(_unbroadcast(g, a.value.shape))
-        if not b.is_constant:
-            b.accumulate_grad(_unbroadcast(g, b.value.shape))
+        a.accumulate_grad(out.grad)
+        b.accumulate_grad(out.grad)
 
-    return Tensor(out_value, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value * b.value
-
-    def bw(out):
-        g = out.grad
-        if not a.is_constant:
-            a.accumulate_grad(_unbroadcast(g * b.value, a.value.shape))
-        if not b.is_constant:
-            b.accumulate_grad(_unbroadcast(g * a.value, b.value.shape))
-
-    return Tensor(out_value, (a, b), bw)
+    return Tensor(a.value + b.value, (a, b), bw)
 
 
 def scale(a, k: float) -> Tensor:
@@ -192,10 +145,8 @@ def matmul(a, b) -> Tensor:
 
     def bw(out):
         g = out.grad
-        if not a.is_constant:
-            a.accumulate_grad(g @ b.value.T)
-        if not b.is_constant:
-            b.accumulate_grad(a.value.T @ g)
+        a.accumulate_grad(g @ b.value.T)
+        b.accumulate_grad(a.value.T @ g)
 
     return Tensor(out_value, (a, b), bw)
 
@@ -240,23 +191,7 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     out_value = a.value[start:stop]
 
     def bw(out):
-        if a.is_constant:
-            return
-        if a._grad is None:
-            a._grad = np.zeros_like(a.value)
-        a._grad[start:stop] += out.grad
-
-    return Tensor(out_value, (a,), bw)
-
-
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out_value = np.array(
-        [[a.value.sum(dtype=np.float64)]], dtype=a.value.dtype
-    )
-
-    def bw(out):
-        a.accumulate_grad(np.full_like(a.value, out.grad.reshape(())))
+        a.grad[start:stop] += out.grad
 
     return Tensor(out_value, (a,), bw)
 
@@ -278,16 +213,6 @@ def mean_rows(a, counts: Sequence[int] | None = None) -> Tensor:
     def bw(out):
         g = out.grad / np.asarray(counts, dtype=out.grad.dtype)[:, None]
         a.accumulate_grad(np.repeat(g, counts, axis=0))
-
-    return Tensor(out_value, (a,), bw)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out_value = np.maximum(a.value, 0)
-
-    def bw(out):
-        a.accumulate_grad(out.grad * (a.value > 0))
 
     return Tensor(out_value, (a,), bw)
 
@@ -399,10 +324,8 @@ def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
 
     def bw(out):
         w = out.grad.astype(np.float64) / dist
-        if not a.is_constant:
-            a.accumulate_grad(np.einsum("ij,ijk->ik", w, diff))
-        if not b.is_constant:
-            b.accumulate_grad(-np.einsum("ij,ijk->jk", w, diff))
+        a.accumulate_grad(np.einsum("ij,ijk->ik", w, diff))
+        b.accumulate_grad(-np.einsum("ij,ijk->jk", w, diff))
 
     return Tensor(out_value, (a, b), bw)
 

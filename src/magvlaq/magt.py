@@ -15,6 +15,7 @@ datasets, parameter checkpoints, and descriptor exports.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -52,6 +53,7 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     The bytes go to a new file beside path, which then replaces path, so a
     write that fails or is killed leaves any earlier file at path whole.
     A C-contiguous float32 tensor is written from its own memory, uncopied.
+    A directory at path fails before any file is made.
     """
     header_entries = []
     arrays: list[np.ndarray] = []
@@ -74,6 +76,8 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
         {"entries": header_entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     partial = path.parent / f".{path.name}.{uuid.uuid4().hex}.partial"
     try:
         with open(partial, "xb") as f:

@@ -358,7 +358,10 @@ class PlaceModel:
     def embed_ground(self, observations: Sequence[GroundObservation],
                      mask: str = "both") -> np.ndarray:
         """Descriptors of ground observations (N x out_dim, input order); each
-        chunk runs its fusion cascade and conditioner on one batch of rows."""
+        chunk runs its fusion cascade and conditioner on one batch of rows.
+        Rows match ``ground_forward`` (and ``embed_aerial``'s match
+        ``aerial_descriptor``) to float32 rounding, 1e-6 at the default
+        config, not bit for bit: a one-row matmul may take another kernel."""
         return self._embed(
             observations, lambda chunk: self.ground_rows(GroundBatch(self, chunk), mask)[0]
         )

@@ -5,12 +5,11 @@ Supervision comes entirely from geo-distance zones: references closer than
 and the band in between is never trained on. The total objective combines a
 triplet loss on fused descriptors, a cross-domain consistency loss that also
 covers single-sensor descriptors, and a penalty on the conditioner's
-prototype shifts.
+prototype shifts; a batch's objective is one tape node (``objective``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -115,78 +114,103 @@ def geo_zones(ground_geos: Sequence[tuple[float, float]],
     return d < thresholds.tau_p, d > thresholds.tau_n
 
 
-def triplet_loss(distances: ad.Tensor, positives: Sequence[int],
-                 negatives: Sequence[int], margin: float) -> ad.Tensor:
-    """Mean hinge on (margin + d_pos - d_neg) over anchors.
+def triplet_loss(distances: np.ndarray, positives: Sequence[int],
+                 negatives: Sequence[int], margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean hinge on (margin + d_pos - d_neg) over anchors, and its gradient.
 
     ``distances`` is anchors x references; row i's positive and negative are
-    the columns ``positives[i]`` and ``negatives[i]``.
+    the columns ``positives[i]`` and ``negatives[i]``. Returns the 1 x 1 loss
+    and its gradient with respect to ``distances``, both in its dtype.
     """
-    rows = distances.value.shape[0]
+    rows = distances.shape[0]
     if not (rows == len(positives) == len(negatives)):
         raise ContractError(
             f"triplet rows must align, got {rows}/{len(positives)}/{len(negatives)}"
         )
     if rows == 0:
         raise ContractError("triplet loss needs at least one triplet")
-    dtype = distances.value.dtype
-    sign = np.zeros(distances.value.shape, dtype=dtype)
-    sign[np.arange(rows), positives] = 1.0
-    sign[np.arange(rows), negatives] = -1.0
-    ones = ad.constant(np.ones((sign.shape[1], 1), dtype=dtype))
-    gap = ad.matmul(ad.mul(distances, ad.constant(sign)), ones)
-    hinge = ad.relu(ad.add(gap, ad.constant(np.full((1, 1), margin, dtype=dtype))))
-    return ad.mean_rows(hinge)
+    dtype = distances.dtype
+    anchors = np.arange(rows)
+    gap = distances[anchors, positives] - distances[anchors, negatives]
+    hinge = np.maximum(gap[:, None] + dtype.type(margin), 0)
+    slope = (hinge[:, 0] > 0) / dtype.type(rows)
+    grad = np.zeros_like(distances)
+    grad[anchors, positives] = slope
+    grad[anchors, negatives] -= slope
+    return hinge.mean(axis=0, keepdims=True, dtype=np.float64).astype(dtype), grad
 
 
-def aux_consistency_loss(distances: ad.Tensor,
+def aux_consistency_loss(distances: np.ndarray,
                          ground_geos: Sequence[tuple[float, float]],
                          reference_geos: Sequence[tuple[float, float]],
                          thresholds: MiningThresholds,
-                         margin: float) -> ad.Tensor:
-    """Cross-domain contrastive consistency against in-batch references.
+                         margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-domain contrastive consistency against in-batch references, and
+    its gradient.
 
     ``distances`` is ground descriptors (of every domain) x references. Every
     pair contributes a hinge pulling geo-close pairs under the margin and
     pushing geo-far pairs past twice the margin; band pairs contribute
-    nothing. Returns zero if no pair lands in either zone.
+    nothing. Returns the 1 x 1 mean hinge over the zoned pairs (zero if no
+    pair lands in either zone) and its gradient with respect to
+    ``distances``, both in its dtype.
     """
-    if distances.value.shape != (len(ground_geos), len(reference_geos)):
+    if distances.shape != (len(ground_geos), len(reference_geos)):
         raise ContractError(
-            f"distance matrix {distances.value.shape} does not match "
+            f"distance matrix {distances.shape} does not match "
             f"{len(ground_geos)} ground and {len(reference_geos)} reference geos"
         )
     near, far = geo_zones(ground_geos, reference_geos, thresholds)
-    count = int(near.sum() + far.sum())
-    if count == 0:
-        return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
-    dtype = distances.value.dtype
-    sign = (near.astype(dtype) - far.astype(dtype))
+    inverse_count = 1.0 / max(int(near.sum() + far.sum()), 1)  # no pair: all zeros
+    dtype = distances.dtype
+    sign = near.astype(dtype) - far.astype(dtype)
     offset = (np.where(near, -margin, 0.0) + np.where(far, 2.0 * margin, 0.0)).astype(dtype)
-    hinge = ad.relu(ad.add(ad.mul(distances, ad.constant(sign)), ad.constant(offset)))
-    return ad.scale(ad.sum_all(hinge), 1.0 / count)
+    hinge = np.maximum(distances * sign + offset, 0)
+    mean = np.array([[hinge.sum(dtype=np.float64)]], dtype) * inverse_count
+    return mean, sign * (hinge > 0) * inverse_count
 
 
-def query_shift_regularizer(deltas: list[ad.Tensor | None]) -> ad.Tensor:
-    """Mean squared Frobenius norm of the per-anchor prototype shifts.
+def objective(distances: ad.Tensor, positives: Sequence[int], negatives: Sequence[int],
+              ground_geos: Sequence[tuple[float, float]],
+              reference_geos: Sequence[tuple[float, float]],
+              deltas: Sequence[ad.Tensor | None], settings: TrainSettings
+              ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
+    """The batch objective as one tape node: (l_tri, l_aux, l_q, total).
 
-    Anchors without a shift (static or pooling aggregation) contribute exact
-    zeros but still count in the denominator.
+    ``distances`` is ground descriptors x references, placed by
+    ``ground_geos`` and ``reference_geos`` for the consistency loss; its first
+    ``len(positives)`` rows are the anchors' fused descriptors for the
+    triplet loss. l_q is the mean squared Frobenius norm of the anchors'
+    prototype shifts: a ``None`` shift (static or pooling aggregation) adds
+    zero but counts in the mean. The first three parts are values; ``total``
+    is the node, whose parents are ``distances`` and the shifts that are not
+    None. Every part takes the dtype of ``distances``.
     """
     if not deltas:
         raise ContractError("regularizer needs at least one anchor")
-    terms = [ad.sum_all(ad.mul(d, d)) for d in deltas if d is not None]
-    if not terms:
-        return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
-    return ad.scale(functools.reduce(ad.add, terms), 1.0 / len(deltas))
+    d = distances.value
+    l_tri, g_tri = triplet_loss(d[: len(positives)], positives, negatives, settings.margin)
+    l_aux, g_aux = aux_consistency_loss(d, ground_geos, reference_geos,
+                                        settings.thresholds, settings.margin)
+    shifts = [delta for delta in deltas if delta is not None]
+    l_q = np.zeros((1, 1), d.dtype)
+    for delta in shifts:
+        l_q = l_q + np.array([[np.square(delta.value).sum(dtype=np.float64)]], d.dtype)
+    l_q = l_q * (1.0 / len(deltas))
+    w = settings.weights
+    total = (l_tri * w.triplet + l_aux * w.aux) + l_q * w.shift
 
+    def bw(out):
+        g = out.grad
+        grad = g_aux * (g * w.aux)
+        grad[: len(positives)] += g_tri * (g * w.triplet)
+        distances.accumulate_grad(grad)
+        g_q = g * w.shift * (1.0 / len(deltas))
+        for delta in shifts:
+            delta.accumulate_grad(2 * delta.value * g_q)
 
-def total_loss(l_tri: ad.Tensor, l_aux: ad.Tensor, l_q: ad.Tensor,
-               weights: LossWeights) -> ad.Tensor:
-    return ad.add(
-        ad.add(ad.scale(l_tri, weights.triplet), ad.scale(l_aux, weights.aux)),
-        ad.scale(l_q, weights.shift),
-    )
+    return (ad.Tensor(l_tri), ad.Tensor(l_aux), ad.Tensor(l_q),
+            ad.Tensor(total, (distances, *shifts), bw))
 
 
 # Elements per adam_step block, which stays in cache across the seven passes:
@@ -259,8 +283,9 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     aerial references mined for them, aligned by position. The union of the
     mined references also serves as the in-batch set for the consistency
     loss. The fused, image-only and lidar-only rows of every anchor and the
-    rows of every reference go through one projection head, and both losses
-    read one ground x reference distance matrix.
+    rows of every reference go through one projection head, and the
+    objective node reads one ground x reference distance matrix and the
+    anchors' shifts; ``total`` is the tape's root.
     """
     refs = sorted({ref.id: ref for ref in [*positives, *negatives]}.items())
     column = {rid: j for j, (rid, _) in enumerate(refs)}
@@ -278,21 +303,15 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
         ad.slice_rows(descriptors, ground_count, ground_count + len(refs)),
     )
 
-    l_tri = triplet_loss(
-        ad.slice_rows(distances, 0, len(anchors)),
+    return objective(
+        distances,
         [column[ref.id] for ref in positives],
         [column[ref.id] for ref in negatives],
-        settings.margin,
-    )
-    l_aux = aux_consistency_loss(
-        distances,
         [obs.geo for obs in anchors] * 3,
         [ref.geo for _, ref in refs],
-        settings.thresholds,
-        settings.margin,
+        deltas,
+        settings,
     )
-    l_q = query_shift_regularizer(deltas)
-    return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
 
 
 def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSettings,
@@ -317,7 +336,7 @@ def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSetting
         hard_aerial = model.embed_aerial(dataset.aerial)
 
     order = rng.permutation(len(train_obs))
-    sums = {"tri": 0.0, "aux": 0.0, "q": 0.0, "total": 0.0}
+    sums = [0.0] * 4  # anchor-weighted l_tri, l_aux, l_q and total
     weight = 0
     skipped = 0
 
@@ -354,36 +373,25 @@ def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSetting
         if not anchors:
             continue
 
-        l_tri, l_aux, l_q, batch_total = batch_loss(
+        parts = batch_loss(
             model,
             anchors,
             [dataset.aerial[j] for j in pos_idx],
             [dataset.aerial[j] for j in neg_idx],
             settings,
         )
-        ad.backward(batch_total)
+        ad.backward(parts[3])
         adam_step(model.store, settings.lr)
-
-        n = len(anchors)
-        sums["tri"] += l_tri.item() * n
-        sums["aux"] += l_aux.item() * n
-        sums["q"] += l_q.item() * n
-        sums["total"] += batch_total.item() * n
-        weight += n
+        sums = [s + part.item() * len(anchors) for s, part in zip(sums, parts)]
+        weight += len(anchors)
 
     if weight == 0:
         raise ConfigurationError("every anchor in the epoch was skipped during mining")
 
     recalls = evaluate_recall(model, dataset, settings)
     return EpochMetrics(
-        epoch=epoch,
-        l_tri=sums["tri"] / weight,
-        l_aux=sums["aux"] / weight,
-        l_q=sums["q"] / weight,
-        total=sums["total"] / weight,
-        recalls=recalls,
-        seconds=time.perf_counter() - started,
-        skipped_anchors=skipped,
+        epoch, *(s / weight for s in sums), recalls=recalls,
+        seconds=time.perf_counter() - started, skipped_anchors=skipped,
     )
 
 

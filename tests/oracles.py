@@ -103,6 +103,100 @@ def finite_difference_grad(
     return grad
 
 
+# Constant leaves and the broadcasting elementwise ops the composed oracles
+# below are built from; the package's own ``add`` takes same-shape operands.
+
+
+class _Constant(Tensor):
+    """A leaf whose gradient is never computed or stored."""
+
+    __slots__ = ()
+
+    def accumulate_grad(self, g) -> None:
+        pass
+
+
+def constant(value) -> Tensor:
+    """Wrap an array as a leaf that no backward pass differentiates; the ops
+    here skip the gradient work for such operands."""
+    return _Constant(value)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient over the axes numpy broadcast during the forward op."""
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_value = a.value + b.value
+
+    def bw(out):
+        g = out.grad
+        if not isinstance(a, _Constant):
+            a.accumulate_grad(_unbroadcast(g, a.value.shape))
+        if not isinstance(b, _Constant):
+            b.accumulate_grad(_unbroadcast(g, b.value.shape))
+
+    return Tensor(out_value, (a, b), bw)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_value = a.value - b.value
+
+    def bw(out):
+        g = out.grad
+        if not isinstance(a, _Constant):
+            a.accumulate_grad(_unbroadcast(g, a.value.shape))
+        if not isinstance(b, _Constant):
+            b.accumulate_grad(-_unbroadcast(g, b.value.shape))
+
+    return Tensor(out_value, (a, b), bw)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    out_value = a.value * b.value
+
+    def bw(out):
+        g = out.grad
+        if not isinstance(a, _Constant):
+            a.accumulate_grad(_unbroadcast(g * b.value, a.value.shape))
+        if not isinstance(b, _Constant):
+            b.accumulate_grad(_unbroadcast(g * a.value, b.value.shape))
+
+    return Tensor(out_value, (a, b), bw)
+
+
+def relu(a) -> Tensor:
+    a = as_tensor(a)
+    out_value = np.maximum(a.value, 0)
+
+    def bw(out):
+        a.accumulate_grad(out.grad * (a.value > 0))
+
+    return Tensor(out_value, (a,), bw)
+
+
+def sum_all(a) -> Tensor:
+    """The sum of every entry as a 1 x 1 matrix, accumulated in float64."""
+    a = as_tensor(a)
+    out_value = np.array([[a.value.sum(dtype=np.float64)]], dtype=a.value.dtype)
+
+    def bw(out):
+        a.accumulate_grad(np.full_like(a.value, out.grad.reshape(())))
+
+    return Tensor(out_value, (a,), bw)
+
+
 # The float64 kernels as they ran with a fresh array per intermediate:
 # autodiff.layer_norm and the row normalization behind l2_normalize and the
 # intra-norm must match them bit for bit, values and every input gradient,
@@ -210,20 +304,6 @@ def transpose(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_value = a.value - b.value
-
-    def bw(out):
-        g = out.grad
-        if not a.is_constant:
-            a.accumulate_grad(ad._unbroadcast(g, a.value.shape))
-        if not b.is_constant:
-            b.accumulate_grad(-ad._unbroadcast(g, b.value.shape))
-
-    return Tensor(out_value, (a, b), bw)
-
-
 # A token set's residual features composed of generic ops, about a dozen
 # nodes: vlaq.residual_features must match its value bit for bit, and its
 # token and bank gradients up to summation order.
@@ -245,9 +325,9 @@ def residual_aggregate(tokens: Tensor, prototypes: Tensor, alpha: Tensor) -> Ten
     """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query."""
     n = tokens.value.shape[0]
     weighted = ad.matmul(transpose(alpha), tokens)
-    ones = ad.constant(np.ones((1, n), dtype=tokens.value.dtype))
+    ones = constant(np.ones((1, n), dtype=tokens.value.dtype))
     col_mass = transpose(ad.matmul(ones, alpha))
-    return sub(weighted, ad.mul(prototypes, col_mass))
+    return sub(weighted, mul(prototypes, col_mass))
 
 
 def residual_features(tokens: Tensor, prototypes: Tensor) -> Tensor:
@@ -293,7 +373,7 @@ def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
     """
     if activation not in ("tanh", "relu"):
         raise ConfigurationError(f"unknown activation {activation!r}")
-    act = tanh if activation == "tanh" else ad.relu
+    act = tanh if activation == "tanh" else relu
     h = as_tensor(x)
     n_layers = len(layers)
     if n_layers == 0:
@@ -305,7 +385,7 @@ def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
                 f"layer {i}: input width {h.value.shape[1]} does not chain with "
                 f"weight shape {w.value.shape}"
             )
-        h = ad.add(ad.matmul(h, w), b)
+        h = add(ad.matmul(h, w), b)
         if i < n_layers - 1:
             h = act(h)
     return h
@@ -353,7 +433,7 @@ def _const(value: float, like: ad.Tensor) -> ad.Tensor:
 def pair_distance(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Differentiable Euclidean distance between two descriptor rows."""
     diff = sub(a, b)
-    return sqrt(ad.sum_all(ad.mul(diff, diff)), eps=1e-12)
+    return sqrt(sum_all(mul(diff, diff)), eps=1e-12)
 
 
 def _mean(terms: list[ad.Tensor]) -> ad.Tensor:
@@ -375,7 +455,7 @@ def triplet_loss(anchors: list[ad.Tensor], positives: list[ad.Tensor],
     terms = []
     for a, p, n in zip(anchors, positives, negatives):
         gap = ad.add(sub(pair_distance(a, p), pair_distance(a, n)), _const(margin, a))
-        terms.append(ad.relu(gap))
+        terms.append(relu(gap))
     return _mean(terms)
 
 
@@ -401,12 +481,12 @@ def aux_consistency_loss(domain_descriptors: dict[str, list[ad.Tensor]],
                 d_geo = math.hypot(a_geo[0] - r_geo[0], a_geo[1] - r_geo[1])
                 if d_geo < thresholds.tau_p:
                     dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(sub(dist, _const(margin, dist))))
+                    terms.append(relu(sub(dist, _const(margin, dist))))
                 elif d_geo > thresholds.tau_n:
                     dist = pair_distance(a_desc, r_desc)
-                    terms.append(ad.relu(sub(_const(2.0 * margin, dist), dist)))
+                    terms.append(relu(sub(_const(2.0 * margin, dist), dist)))
     if not terms:
-        return ad.as_tensor(np.zeros((1, 1), dtype=ad.DEFAULT_DTYPE))
+        return constant(np.zeros((1, 1), dtype=aerial_descriptors[0].value.dtype))
     return _mean(terms)
 
 
@@ -455,8 +535,81 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
         settings.thresholds,
         settings.margin,
     )
-    l_q = training.query_shift_regularizer([f.delta for f in fused])
-    return l_tri, l_aux, l_q, training.total_loss(l_tri, l_aux, l_q, settings.weights)
+    l_q = query_shift_regularizer([f.delta for f in fused], model.dtype)
+    return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
+
+
+# The batch objective composed of generic ops, about 60 nodes for 16
+# anchors: training.objective must match its four values bit for bit, and
+# its gradients up to summation order.
+
+
+def matrix_triplet_loss(distances: Tensor, positives: Sequence[int],
+                        negatives: Sequence[int], margin: float) -> Tensor:
+    """Mean hinge on (margin + d_pos - d_neg) over the rows of an anchors x
+    references matrix; row i's positive and negative are the columns
+    ``positives[i]`` and ``negatives[i]``."""
+    rows = distances.value.shape[0]
+    dtype = distances.value.dtype
+    sign = np.zeros(distances.value.shape, dtype=dtype)
+    sign[np.arange(rows), positives] = 1.0
+    sign[np.arange(rows), negatives] = -1.0
+    ones = constant(np.ones((sign.shape[1], 1), dtype=dtype))
+    gap = ad.matmul(mul(distances, constant(sign)), ones)
+    hinge = relu(add(gap, constant(np.full((1, 1), margin, dtype=dtype))))
+    return ad.mean_rows(hinge)
+
+
+def matrix_aux_consistency_loss(distances: Tensor,
+                                ground_geos: Sequence[tuple[float, float]],
+                                reference_geos: Sequence[tuple[float, float]],
+                                thresholds: training.MiningThresholds,
+                                margin: float) -> Tensor:
+    """Mean hinge over the zoned pairs of a ground x reference matrix: under
+    the margin for geo-close pairs, past twice the margin for geo-far ones."""
+    near, far = training.geo_zones(ground_geos, reference_geos, thresholds)
+    count = int(near.sum() + far.sum())
+    dtype = distances.value.dtype
+    if count == 0:
+        return constant(np.zeros((1, 1), dtype=dtype))
+    sign = near.astype(dtype) - far.astype(dtype)
+    offset = (np.where(near, -margin, 0.0) + np.where(far, 2.0 * margin, 0.0)).astype(dtype)
+    hinge = relu(add(mul(distances, constant(sign)), constant(offset)))
+    return ad.scale(sum_all(hinge), 1.0 / count)
+
+
+def query_shift_regularizer(deltas: list[Tensor | None], dtype) -> Tensor:
+    """Mean squared Frobenius norm of the per-anchor prototype shifts;
+    anchors without a shift count in the denominator."""
+    terms = [sum_all(mul(d, d)) for d in deltas if d is not None]
+    if not terms:
+        return constant(np.zeros((1, 1), dtype=dtype))
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return ad.scale(total, 1.0 / len(deltas))
+
+
+def total_loss(l_tri: Tensor, l_aux: Tensor, l_q: Tensor,
+               weights: training.LossWeights) -> Tensor:
+    return add(
+        add(ad.scale(l_tri, weights.triplet), ad.scale(l_aux, weights.aux)),
+        ad.scale(l_q, weights.shift),
+    )
+
+
+def objective(distances: Tensor, positives: Sequence[int], negatives: Sequence[int],
+              ground_geos: Sequence[tuple[float, float]],
+              reference_geos: Sequence[tuple[float, float]],
+              deltas: list[Tensor | None], settings: training.TrainSettings
+              ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """(l_tri, l_aux, l_q, total) with training.objective's arguments."""
+    l_tri = matrix_triplet_loss(ad.slice_rows(distances, 0, len(positives)),
+                                positives, negatives, settings.margin)
+    l_aux = matrix_aux_consistency_loss(distances, ground_geos, reference_geos,
+                                        settings.thresholds, settings.margin)
+    l_q = query_shift_regularizer(deltas, distances.value.dtype)
+    return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
 
 
 # Adam with a fresh array per intermediate; training.adam_step must match

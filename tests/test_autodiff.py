@@ -66,29 +66,30 @@ def test_elementwise_and_matmul_gradients():
     w = ad.Tensor(_rand(rng, 4, 2))
     b = ad.Tensor(_rand(rng, 1, 2))
     _fd_check(
-        lambda: ad.sum_all(oracles.tanh(ad.add(ad.matmul(x, w), b))),
+        lambda: oracles.sum_all(oracles.tanh(oracles.add(ad.matmul(x, w), b))),
         [x, w, b],
     )
 
 
 def test_broadcast_gradients_unbroadcast_to_parameter_shape():
+    """The oracles' broadcasting ``mul``; the package's ops do not broadcast."""
     rng = np.random.default_rng(2)
     col = ad.Tensor(_rand(rng, 3, 1))
     full = ad.Tensor(_rand(rng, 3, 4))
-    _fd_check(lambda: ad.sum_all(ad.mul(col, full)), [col, full])
+    _fd_check(lambda: oracles.sum_all(oracles.mul(col, full)), [col, full])
     assert col.grad.shape == (3, 1)
 
 
 def test_diamond_graph_accumulates_both_paths():
     x = ad.Tensor(np.array([[2.0]]))
-    loss = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x -> d/dx = 2x + 3
+    loss = ad.add(oracles.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x -> d/dx = 2x + 3
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, [[7.0]])
 
 
 def test_repeated_backward_doubles_leaf_but_not_interior():
     x = ad.Tensor(np.array([[3.0]]))
-    y = ad.mul(x, x)
+    y = oracles.mul(x, x)
     loss = ad.scale(y, 2.0)  # d/dx = 4x = 12
     ad.backward(loss)
     ad.backward(loss)
@@ -105,7 +106,7 @@ def test_backward_rejects_non_scalar():
 def test_no_grad_builds_no_graph():
     x = ad.Tensor(np.ones((2, 2)))
     with ad.no_grad():
-        y = ad.mul(x, x)
+        y = ad.add(x, x)
     assert y._parents == () and y._backward is None
 
 
@@ -117,14 +118,14 @@ def test_no_grad_in_one_thread_leaves_another_thread_taping():
         with ad.no_grad():
             inside.set()
             done.wait(timeout=30)
-            worker_parents.append(ad.mul(ad.Tensor(np.ones((1, 1))), 2.0)._parents)
+            worker_parents.append(ad.scale(ad.Tensor(np.ones((1, 1))), 2.0)._parents)
 
     thread = threading.Thread(target=worker)
     thread.start()
     try:
         assert inside.wait(timeout=30)
         x = ad.Tensor(np.array([[1.0, -2.0, 3.0]]))
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        ad.backward(oracles.sum_all(oracles.mul(x, x)))
         np.testing.assert_array_equal(x.grad, 2.0 * x.value)
     finally:
         done.set()
@@ -140,7 +141,7 @@ def test_reshape_transpose_concat_gradients():
 
     def build():
         stacked = ad.concat_rows([a, b])
-        return ad.sum_all(ad.mul(oracles.transpose(stacked), oracles.transpose(stacked)))
+        return oracles.sum_all(oracles.mul(oracles.transpose(stacked), oracles.transpose(stacked)))
 
     _fd_check(build, [a, b])
     flat = ad.reshape(a, (3, 4))
@@ -152,7 +153,7 @@ def test_slice_rows_value_gradient_and_bounds():
     a = ad.Tensor(_rand(rng, 5, 3))
     w = _rand(rng, 2, 3)
     np.testing.assert_array_equal(ad.slice_rows(a, 1, 3).value, a.value[1:3])
-    _fd_check(lambda: ad.sum_all(ad.mul(ad.slice_rows(a, 1, 3), ad.Tensor(w))), [a])
+    _fd_check(lambda: oracles.sum_all(oracles.mul(ad.slice_rows(a, 1, 3), ad.Tensor(w))), [a])
     assert not a.grad[[0, 3, 4]].any()
     with pytest.raises(DimensionError):
         ad.slice_rows(a, 3, 6)
@@ -169,25 +170,41 @@ def test_pairwise_distance_matches_numpy_and_finite_differences():
     )
     np.testing.assert_allclose(ad.pairwise_distance(a, b).value, expect, rtol=1e-12)
     w = _rand(rng, 4, 2)
-    _fd_check(lambda: ad.sum_all(ad.mul(ad.pairwise_distance(a, b), ad.Tensor(w))), [a, b])
+    _fd_check(
+        lambda: oracles.sum_all(oracles.mul(ad.pairwise_distance(a, b), ad.Tensor(w))), [a, b]
+    )
     with pytest.raises(DimensionError):
         ad.pairwise_distance(a, ad.Tensor(np.ones((2, 4))))
 
 
 def test_constant_leaves_hold_no_gradient_and_change_no_other():
+    """The oracles' constant leaves, under package and oracle ops alike."""
     rng = np.random.default_rng(13)
     x, y = _rand(rng, 3, 4), _rand(rng, 3, 4)
     w = _rand(rng, 4, 2)
     grads = []
-    for leaf in (ad.Tensor, ad.constant):
+    for leaf in (ad.Tensor, oracles.constant):
         cx, cy, p = leaf(x), leaf(y), ad.Tensor(w)
-        h = ad.matmul(ad.mul(oracles.sub(ad.add(cx, cy), cy), cx), p)
-        ad.backward(ad.sum_all(ad.mul(h, h)))
+        h = ad.matmul(oracles.mul(oracles.sub(oracles.add(cx, cy), cy), cx), p)
+        ad.backward(oracles.sum_all(oracles.mul(h, h)))
         grads.append(p.grad)
-        if leaf is ad.constant:
+        if leaf is oracles.constant:
             assert cx._grad is None and cy._grad is None
-            assert cx.is_constant and not p.is_constant
     assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_add_takes_one_shape_and_sums_both_gradients():
+    x = ad.Tensor(np.array([[1.0, -2.0]]))
+    y = ad.Tensor(np.array([[0.5, 4.0]]))
+    out = ad.add(x, y)
+    np.testing.assert_array_equal(out.value, [[1.5, 2.0]])
+    out.accumulate_grad(np.array([[3.0, -1.0]]))
+    out._backward(out)
+    np.testing.assert_array_equal(x.grad, [[3.0, -1.0]])
+    np.testing.assert_array_equal(y.grad, [[3.0, -1.0]])
+    for other in (np.ones((1, 1)), np.ones((2, 2)), np.ones(2)):
+        with pytest.raises(DimensionError, match=r"one shape.*\(1, 2\)"):
+            ad.add(x, ad.Tensor(other))
 
 
 def test_mean_rows_value_and_empty_error():
@@ -216,7 +233,7 @@ def test_segment_means_equal_stacked_single_segment_means(dtype):
     for parts in ([ad.Tensor(x)], [ad.Tensor(x[e - n : e].copy()) for n, e in zip(counts, ends)]):
         means = (ad.mean_rows(parts[0], counts) if len(parts) == 1
                  else ad.concat_rows([ad.mean_rows(p) for p in parts]))
-        ad.backward(ad.sum_all(ad.mul(means, ad.constant(upstream))))
+        ad.backward(oracles.sum_all(oracles.mul(means, oracles.constant(upstream))))
         grads.append(np.concatenate([p.grad for p in parts]))
     assert grads[0].tobytes() == grads[1].tobytes()
 
@@ -260,7 +277,7 @@ def test_layer_norm_gradients_and_degenerate_width():
     bias = ad.Tensor(_rand(rng, 1, 8))
     w = _rand(rng, 3, 8)
     _fd_check(
-        lambda: ad.sum_all(ad.mul(_layer_norm(x, gain, bias), ad.Tensor(w))),
+        lambda: oracles.sum_all(oracles.mul(_layer_norm(x, gain, bias), ad.Tensor(w))),
         [x, gain, bias],
         tol=1e-5,
     )
@@ -285,7 +302,7 @@ def test_l2_normalize_gradient_is_tangent():
     rng = np.random.default_rng(8)
     x = ad.Tensor(_rand(rng, 1, 6))
     w = _rand(rng, 1, 6)
-    _fd_check(lambda: ad.sum_all(ad.mul(ad.l2_normalize(x), ad.Tensor(w))), [x])
+    _fd_check(lambda: oracles.sum_all(oracles.mul(ad.l2_normalize(x), ad.Tensor(w))), [x])
     # the gradient of any function of a unit direction is orthogonal to it
     radial = float((x.grad * x.value).sum()) / np.linalg.norm(x.value)
     assert abs(radial) < 1e-8
@@ -307,7 +324,7 @@ def test_pass_through_row_norm_keeps_zero_rows_zero():
     np.testing.assert_allclose(out.value, [[0.6, 0.8], [0.0, 0.0]])
 
     t = ad.Tensor(x.copy())
-    loss = ad.sum_all(_pass_through_rows(t))
+    loss = oracles.sum_all(_pass_through_rows(t))
     ad.backward(loss)
     np.testing.assert_allclose(t.grad[1], [0.0, 0.0])
 
@@ -346,7 +363,7 @@ def test_float64_kernels_match_their_oracles_bit_for_bit(name, scale, shape, dty
     for kernel in LEAN_KERNELS[name]:
         inputs = [ad.Tensor(a.copy()) for a in arrays]
         out = kernel(*inputs)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
         results.append([out.value, *(t.grad for t in inputs)])
     for got, want in zip(*results):
         assert got.dtype == want.dtype == dtype
@@ -431,12 +448,12 @@ def test_mlp_forward_matches_the_composed_oracle(dtype, activation, depth, rows)
          ad.Tensor((rng.standard_normal((1, fan_out)) * 0.5).astype(dtype)))
         for fan_in, fan_out in zip(widths, widths[1:])
     ]
-    probe = ad.constant(rng.standard_normal((rows, widths[-1])).astype(dtype))
+    probe = oracles.constant(rng.standard_normal((rows, widths[-1])).astype(dtype))
     leaves = [x, *(t for layer in layers for t in layer)]
 
     def run(mlp):
         out = mlp(x, layers, activation)
-        ad.backward(ad.sum_all(ad.mul(out, probe)))
+        ad.backward(oracles.sum_all(oracles.mul(out, probe)))
         grads = [p.grad.copy() for p in leaves]
         for p in leaves:
             p.zero_grad()
@@ -459,7 +476,7 @@ def test_relu_mlp_gradient():
     ]
     params = [x, *[t for pair in layers for t in pair]]
     _fd_check(
-        lambda: ad.sum_all(ad.mlp_forward(x, layers, activation="relu")), params
+        lambda: oracles.sum_all(ad.mlp_forward(x, layers, activation="relu")), params
     )
 
 

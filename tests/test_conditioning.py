@@ -231,7 +231,7 @@ def test_pooling_descriptor_is_mean_projection():
         toks = np.concatenate(
             [
                 oracles.layer_norm(
-                    ad.matmul(ad.constant(getattr(obs, modality).scales[-1]),
+                    ad.matmul(oracles.constant(getattr(obs, modality).scales[-1]),
                               m.proj[modality]),
                     *m.ln[modality],
                 ).value

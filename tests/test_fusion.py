@@ -14,7 +14,15 @@ from magvlaq import autodiff as ad
 from magvlaq import fusion, tokens
 from magvlaq.errors import ConfigurationError, DivergenceError
 from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
-from oracles import finite_difference_grad, layer_norm, mlp_forward, rk4_unrolled
+from oracles import (
+    constant,
+    finite_difference_grad,
+    layer_norm,
+    mlp_forward,
+    mul,
+    rk4_unrolled,
+    sum_all,
+)
 
 
 def _linear(w, b=None) -> list[tuple[ad.Tensor, ad.Tensor]]:
@@ -71,7 +79,7 @@ def test_solver_gradient_matches_finite_differences():
 
     def build():
         out = fusion.rk4_integrate(y0, layers, steps=4, horizon=1.0)
-        return ad.sum_all(ad.mul(out, ad.Tensor(probe)))
+        return sum_all(mul(out, ad.Tensor(probe)))
 
     loss = build()
     ad.backward(loss)
@@ -111,12 +119,12 @@ def test_fused_gradients_match_unrolled_oracle(activation, rows):
     rng = np.random.default_rng([rows, len(activation), 7])
     state = ad.Tensor(rng.standard_normal((rows, 6)))
     layers = _random_layers(rng, (6, 7, 5, 6), np.float64, gain=0.9)
-    probe = ad.constant(rng.standard_normal((rows, 6)))
+    probe = constant(rng.standard_normal((rows, 6)))
     leaves = [state, *(t for layer in layers for t in layer)]
 
     def grads(integrate):
         out = integrate(state, layers, 3, 1.5, activation)
-        ad.backward(ad.sum_all(ad.mul(out, probe)))
+        ad.backward(sum_all(mul(out, probe)))
         got = [p.grad.copy() for p in leaves]
         for p in leaves:
             p.zero_grad()
@@ -228,7 +236,7 @@ def test_fusion_embedding_at_init_sums_modality_messages():
             want = sum(
                 mlp_forward(
                     ad.mean_rows(layer_norm(
-                        ad.matmul(ad.constant(getattr(obs, modality).scales[idx]),
+                        ad.matmul(constant(getattr(obs, modality).scales[idx]),
                                   model.proj[modality]),
                         *model.ln[modality],
                     )),

@@ -118,11 +118,14 @@ def test_failed_write_leaves_the_previous_file_and_no_partial_file(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["t.magt"]
 
 
-def test_write_onto_a_directory_fails_and_leaves_no_partial_file(tmp_path):
+def test_write_onto_a_directory_fails_and_leaves_no_partial_file(tmp_path, monkeypatch):
     target = tmp_path / "out"
     target.mkdir()
-    with pytest.raises(OSError):
+    opened = []
+    monkeypatch.setattr(magt, "open", lambda *args: opened.append(args), raising=False)
+    with pytest.raises(IsADirectoryError, match="Is a directory"):
         magt.write_container([_entry(np.random.default_rng(5))], target)
+    assert opened == []  # no partial file was ever created
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert not any(target.iterdir())
 

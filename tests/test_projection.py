@@ -41,7 +41,7 @@ def _token_mats(batch: int, ragged: bool, seed: int) -> list[np.ndarray]:
 
 
 def _oracle(model: PlaceModel, x: np.ndarray, modality: str) -> ad.Tensor:
-    projected = ad.matmul(ad.constant(np.asarray(x, dtype=model.dtype)), model.proj[modality])
+    projected = ad.matmul(oracles.constant(np.asarray(x, dtype=model.dtype)), model.proj[modality])
     if modality == "aerial":
         return projected
     return oracles.layer_norm(projected, *model.ln[modality])
@@ -79,7 +79,7 @@ def test_projection_gradients_match_the_composed_oracle(modality):
         lambda: ad.concat_rows([_oracle(model, x, modality) for x in mats]),
     ):
         model.store.zero_grads()
-        ad.backward(ad.sum_all(ad.mul(build(), ad.constant(upstream))))
+        ad.backward(oracles.sum_all(oracles.mul(build(), oracles.constant(upstream))))
         grads.append([p.grad.copy() for p in params])
     for got, want in zip(*grads):
         scale = max(float(np.abs(want).max()), 1e-300)

@@ -152,7 +152,7 @@ def test_residual_features_node_matches_composed_oracle(case, dtype):
     for features in (vlaq.residual_features, oracles.residual_features):
         leaves = ad.Tensor(tokens.copy()), ad.Tensor(bank.copy())
         out = features(*leaves)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+        ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
         results.append([out.value, *(leaf.grad for leaf in leaves)])
     (got, *got_grads), (want, *want_grads) = results
     assert got.dtype == dtype and got.tobytes() == want.tobytes()
@@ -174,7 +174,7 @@ def test_residual_features_is_one_node_and_keeps_nothing_without_a_tape():
 
 def test_zero_residual_rows_pass_gradient_zeros():
     tokens, bank = (ad.Tensor(a) for a in _node_case("zero-residual", np.float64))
-    ad.backward(ad.sum_all(vlaq.residual_features(tokens, bank)))
+    ad.backward(oracles.sum_all(vlaq.residual_features(tokens, bank)))
     # prototype 1's residual is zero: its row of the bank gets no gradient
     assert not bank.grad[1].any() and bank.grad[[0, 2]].all()
 
@@ -218,8 +218,8 @@ def test_gradients_match_finite_differences():
     w = rng.standard_normal((1, 6))
 
     def build():
-        return ad.sum_all(
-            ad.mul(vlaq.vlaq_descriptor(tokens, protos, proj), ad.Tensor(w))
+        return oracles.sum_all(
+            oracles.mul(vlaq.vlaq_descriptor(tokens, protos, proj), ad.Tensor(w))
         )
 
     loss = build()
