@@ -5,12 +5,14 @@ rebuilt on each forward pass. Values are float32 by default (float64 graphs
 are supported and used by the gradient-check oracles); reductions such as
 norms accumulate in float64 regardless of the graph dtype: the kernels work
 in place on one float64 copy of their input plus at most one scratch buffer,
-and take a mean as ``sum / n`` (np.mean's bits). The MLP, the layer norm
-and the row normalization are numpy values/backward pairs, so a node that
-fuses several steps (an RK4 flow, a token set's residual features, a
-token projection) reuses them. A training batch's objective is one numpy
-node too (``training.objective``), so ``add`` of two same-shape matrices
-and ``scale`` are the only elementwise ops: nothing broadcasts."""
+and take a mean as ``sum / n`` (np.mean's bits). A row-wise kernel gives a
+row the same bits in any block of rows, so a token projection may normalize
+a batch's rows in blocks. The MLP, the layer norm and the row normalization
+are numpy values/backward pairs, so a node that fuses several steps (an RK4
+flow, a token set's residual features, a token projection) reuses them. A
+training batch's objective is one numpy node too (``training.objective``),
+so ``add`` of two same-shape matrices and ``scale`` are the only elementwise
+ops: nothing broadcasts."""
 
 from __future__ import annotations
 
@@ -207,8 +209,12 @@ def mean_rows(a, counts: Sequence[int] | None = None) -> Tensor:
             f"{a.value.shape} and row counts {counts}"
         )
     out_value = np.empty((len(counts), a.value.shape[1]), a.value.dtype)
-    for row, n, stop in zip(out_value, counts, itertools.accumulate(counts)):
-        row[...] = a.value[stop - n : stop].mean(axis=0, dtype=np.float64)
+    if len(set(counts)) == 1:  # one float64 reduction, np.mean's bits per segment
+        sums = a.value.reshape(len(counts), counts[0], -1).sum(axis=1, dtype=np.float64)
+        out_value[...] = sums / counts[0]
+    else:
+        for row, n, stop in zip(out_value, counts, itertools.accumulate(counts)):
+            row[...] = a.value[stop - n : stop].mean(axis=0, dtype=np.float64)
 
     def bw(out):
         g = out.grad / np.asarray(counts, dtype=out.grad.dtype)[:, None]

@@ -15,7 +15,9 @@ datasets, parameter checkpoints, and descriptor exports.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import glob
 import json
 import os
 import struct
@@ -53,7 +55,8 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     The bytes go to a new file beside path, which then replaces path, so a
     write that fails or is killed leaves any earlier file at path whole.
     A C-contiguous float32 tensor is written from its own memory, uncopied.
-    A directory at path fails before any file is made.
+    A directory at path fails before any file is made. Partial files older
+    than this write's, left by killed writes to path, are then deleted.
     """
     header_entries = []
     arrays: list[np.ndarray] = []
@@ -81,6 +84,7 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     partial = path.parent / f".{path.name}.{uuid.uuid4().hex}.partial"
     try:
         with open(partial, "xb") as f:
+            began = os.fstat(f.fileno()).st_mtime_ns
             f.write(_HEAD.pack(MAGIC, VERSION, len(header)))
             f.write(header)
             for arr in arrays:
@@ -89,6 +93,10 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+    for other in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 32}.partial"):
+        with contextlib.suppress(OSError):  # a newer partial file is a live writer's
+            if other.stat().st_mtime_ns < began:
+                other.unlink()
     return _HEAD.size + len(header) + offset
 
 

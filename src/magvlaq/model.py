@@ -35,6 +35,9 @@ _MASKS = {"both": ("image", "lidar"), "image-only": ("image",), "lidar-only": ("
 MODALITY_MASKS = tuple(_MASKS)
 # Items per batch when embedding a list; it bounds the memory of one batch.
 EMBED_CHUNK = 64
+# Rows per layer-norm call in project_tokens: a 4096 x 128 stack of 64 token
+# matrices took 0.85x the per-matrix time at 128, 0.79x at 256, 1.06x at 1024.
+LN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,8 @@ class PlaceModel:
         """Project token matrices into the working space as one node, their
         rows stacked in list order; ground modalities are additionally
         layer-normalized per token, aerial tokens are not. Each matrix is
-        multiplied and normalized on its own, so its rows are those of a
-        list that holds it alone."""
+        multiplied on its own and the layer norm works row by row, LN_BLOCK
+        rows at a time, so its rows are those of a list that holds it alone."""
         xs = [np.asarray(m, dtype=self.dtype) for m in mats]
         for x, owner in zip(xs, owners):
             if x.ndim != 2 or x.shape[1] != self.config.raw_dim:
@@ -200,23 +203,24 @@ class PlaceModel:
         w, norm = self.proj[modality], self.ln.get(modality)
         starts = [0, *itertools.accumulate(len(x) for x in xs)]
         out = np.empty((starts[-1], self.config.proj_dim), self.dtype)
-        saved = []
         for x, start, stop in zip(xs, starts, starts[1:]):
-            rows = out[start:stop]
-            np.matmul(x, w.value, out=rows)
-            if norm is not None:
-                out64, *state = ad.layer_norm_values(rows, norm[0].value, norm[1].value)
-                rows[...] = out64
-                if ad.grad_enabled():
-                    saved.append(state)
+            np.matmul(x, w.value, out=out[start:stop])
+        saved = []
+        for start in range(0, len(out) if norm else 0, LN_BLOCK):
+            rows = out[start : start + LN_BLOCK]
+            out64, *state = ad.layer_norm_values(rows, norm[0].value, norm[1].value)
+            rows[...] = out64
+            if ad.grad_enabled():
+                saved.append(state)
 
         def bw(node):
             g_w = np.zeros_like(w.value)
             g_ln = np.zeros((2, out.shape[1]))
-            for i, (x, start, stop) in enumerate(zip(xs, starts, starts[1:])):
-                g = node.grad[start:stop]
+            xhat, inv = (np.concatenate(s) for s in zip(*saved)) if norm else (None, None)
+            for x, lo, hi in zip(xs, starts, starts[1:]):
+                g = node.grad[lo:hi]
                 if norm is not None:
-                    g = ad.layer_norm_backward(g, *saved[i], norm[0].value, *g_ln)
+                    g = ad.layer_norm_backward(g, xhat[lo:hi], inv[lo:hi], norm[0].value, *g_ln)
                     g = g.astype(self.dtype)
                 g_w += x.T @ g
             w.accumulate_grad(g_w)

@@ -79,10 +79,10 @@ class Violation(NamedTuple):
     rule: str
 
 
-def _check_token_set(ts: TokenSet, expected_kind: str, out: list[Violation]) -> None:
+def _check_token_set(ts: TokenSet, kind: str, out: list[Violation], finite: bool) -> None:
     if not ts.id or "#" in ts.id:
         out.append(Violation(ts.id, "bad-id"))
-    if ts.kind != expected_kind:
+    if ts.kind != kind:
         out.append(Violation(ts.id, "wrong-kind"))
     if not all(math.isfinite(c) for c in ts.geo):
         out.append(Violation(ts.id, "bad-geo"))
@@ -95,15 +95,17 @@ def _check_token_set(ts: TokenSet, expected_kind: str, out: list[Violation]) -> 
             out.append(Violation(ts.id, "empty-tokens"))
         elif arr.shape[1] != dim:
             out.append(Violation(ts.id, "raw-dim-mismatch"))
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             out.append(Violation(ts.id, "non-finite-tokens"))
 
 
-def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0) -> list[Violation]:
+def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0,
+                     finite: bool = False) -> list[Violation]:
     """Check every structural invariant; empty result means the dataset is valid.
 
     Train-split ground observations also need at least one aerial reference
     within ``tau_p`` meters, otherwise they are flagged as orphan queries.
+    ``finite`` skips the per-matrix finiteness scan: every token is known finite.
     """
     out: list[Violation] = []
     seen_ground: set[str] = set()
@@ -115,8 +117,8 @@ def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0) -> list[Violati
             out.append(Violation(obs.id, "bad-id"))
         if obs.split not in SPLITS:
             out.append(Violation(obs.id, "bad-split"))
-        _check_token_set(obs.image, GROUND_IMAGE, out)
-        _check_token_set(obs.lidar, GROUND_LIDAR, out)
+        _check_token_set(obs.image, GROUND_IMAGE, out, finite)
+        _check_token_set(obs.lidar, GROUND_LIDAR, out, finite)
         if obs.image.geo != obs.lidar.geo:
             out.append(Violation(obs.id, "geo-mismatch"))
         if len(obs.image.scales) != len(obs.lidar.scales):
@@ -131,7 +133,7 @@ def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0) -> list[Violati
             out.append(Violation(ref.id, "bad-modality-tag"))
         elif not ref.modality_tag:
             out.append(Violation(ref.id, "missing-modality-tag"))
-        _check_token_set(ref.token_set, AERIAL, out)
+        _check_token_set(ref.token_set, AERIAL, out, finite)
 
     tags = {ref.modality_tag for ref in dataset.aerial if isinstance(ref.modality_tag, str)}
     if len(tags) > 1:
@@ -205,7 +207,6 @@ def load_token_file(path: str | Path, tau_p: float = 10.0) -> TokenDataset:
     entries = magt.read_container(path)
     ground_parts: dict[str, dict[str, TokenSet]] = {}
     ground_split: dict[str, str] = {}
-    order: list[str] = []
     aerial: list[AerialReference] = []
     for entry in entries:
         kind = entry.meta.get("kind")
@@ -227,8 +228,6 @@ def load_token_file(path: str | Path, tau_p: float = 10.0) -> TokenDataset:
             if base in ground_split and ground_split[base] != split:
                 raise DatasetValidationError(f"{path}: split mismatch for {base!r}")
             ground_split[base] = split
-            if base not in order:
-                order.append(base)
         elif kind == AERIAL:
             ts = _entry_token_set(entry, entry_id)
             tag = entry.meta.get("modality_tag", "")
@@ -237,23 +236,18 @@ def load_token_file(path: str | Path, tau_p: float = 10.0) -> TokenDataset:
             raise DatasetValidationError(f"{path}: entry {entry_id!r} has unknown kind {kind!r}")
 
     ground = []
-    for base in order:
-        parts = ground_parts[base]
+    for base, parts in ground_parts.items():
         if set(parts) != {"image", "lidar"}:
             raise DatasetValidationError(
                 f"{path}: observation {base!r} is missing its "
                 f"{'lidar' if 'lidar' not in parts else 'image'} entry"
             )
-        ground.append(
-            GroundObservation(
-                id=base,
-                image=parts["image"],
-                lidar=parts["lidar"],
-                split=str(ground_split[base]),
-            )
-        )
+        ground.append(GroundObservation(id=base, image=parts["image"], lidar=parts["lidar"],
+                                        split=str(ground_split[base])))
     dataset = TokenDataset(ground=ground, aerial=aerial)
-    violations = validate_dataset(dataset, tau_p=tau_p)
+    # one pass; a NaN (maybe between tensors) or overflow leaves validate_dataset the exact scan
+    buffer = next((t.base for e in entries for t in e.tensors.values()), np.empty(0))
+    violations = validate_dataset(dataset, tau_p, bool(np.isfinite(buffer.sum())))
     if violations:
         v = violations[0]
         raise DatasetValidationError(f"{path}: {v.rule} on {v.entry_id!r}")

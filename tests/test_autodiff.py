@@ -215,9 +215,10 @@ def test_mean_rows_value_and_empty_error():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_segment_means_equal_stacked_single_segment_means(dtype):
+@pytest.mark.parametrize("counts", [[1, 5, 2, 17, 1], [64] * 9, [17] * 3, [1] * 4, [300]],
+                         ids=["ragged", "64x9", "17x3", "1x4", "300"])
+def test_segment_means_equal_stacked_single_segment_means(dtype, counts):
     rng = np.random.default_rng(13)
-    counts = [1, 5, 2, 17, 1]
     x = (rng.standard_normal((sum(counts), 7)) * 3.0 + 1.0).astype(dtype)
     ends = np.cumsum(counts)
     want = np.concatenate(

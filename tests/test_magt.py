@@ -5,8 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import struct
+import time
 import tracemalloc
+import uuid
 
 import numpy as np
 import pytest
@@ -128,6 +131,30 @@ def test_write_onto_a_directory_fails_and_leaves_no_partial_file(tmp_path, monke
     assert opened == []  # no partial file was ever created
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert not any(target.iterdir())
+
+
+def test_a_write_deletes_older_partial_files_of_its_target_and_keeps_newer_ones(tmp_path):
+    """A killed write leaves a partial file behind; the next write to the
+    same target deletes it once done. A newer partial file belongs to a live
+    writer, and those of other targets are not this write's to delete."""
+    path = tmp_path / "t[1].magt"
+    now, hour = time.time_ns(), 3600 * 10**9
+
+    def partial(target: str, mtime: int):
+        made = tmp_path / f".{target}.{uuid.uuid4().hex}.partial"
+        made.write_bytes(b"killed")
+        os.utime(made, ns=(mtime, mtime))
+        return made
+
+    stale = partial(path.name, now - hour)
+    kept = [
+        partial(path.name, now + hour),  # a live writer's
+        partial("u.magt", now - hour),  # another target's
+        partial("t1.magt", now - hour),  # one that "t[1].magt" matches as a glob
+    ]
+    magt.write_container([_entry(np.random.default_rng(6))], path)
+    assert not stale.exists()
+    assert {p.name for p in tmp_path.iterdir()} == {path.name, *(p.name for p in kept)}
 
 
 def _valid_bytes(tmp_path):

@@ -12,7 +12,7 @@ import oracles
 from magvlaq import autodiff as ad
 from magvlaq import tokens
 from magvlaq.errors import DimensionError
-from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
+from magvlaq.model import LN_BLOCK, GroundBatch, ModelConfig, PlaceModel
 
 MODALITIES = ("image", "lidar", "aerial")
 
@@ -67,10 +67,32 @@ def test_projection_rows_match_the_composed_oracle_bit_for_bit(modality, ragged,
             assert got[start:stop].tobytes() == _oracle(model, x, modality).value.tobytes()
 
 
+def _long_stack(dtype) -> list[np.ndarray]:
+    """Token matrices whose stack spans several LN_BLOCK-row blocks; one of
+    them is longer than a block and straddles two block boundaries."""
+    rng = np.random.default_rng(11)
+    counts = [100, 2 * LN_BLOCK + 9, 64, 1, LN_BLOCK, 200]
+    return [(rng.standard_normal((n, 96)) * 2.0 + 0.5).astype(dtype) for n in counts]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("modality", MODALITIES)
-def test_projection_gradients_match_the_composed_oracle(modality):
+def test_a_stack_of_several_layer_norm_blocks_matches_the_oracle_bit_for_bit(modality,
+                                                                            dtype):
+    model = _model(dtype)
+    mats = _long_stack(dtype)
+    assert sum(map(len, mats)) > 4 * LN_BLOCK
+    with ad.no_grad():
+        got = model.project_tokens(mats, modality, [f"o{i}" for i in range(len(mats))]).value
+        for x, (start, stop) in zip(mats, _bounds(mats)):
+            assert got[start:stop].tobytes() == _oracle(model, x, modality).value.tobytes()
+
+
+@pytest.mark.parametrize("stack", ["ragged", "long"])
+@pytest.mark.parametrize("modality", MODALITIES)
+def test_projection_gradients_match_the_composed_oracle(modality, stack):
     model = _model(np.float64)
-    mats = _token_mats(5, ragged=True, seed=7)
+    mats = _token_mats(5, ragged=True, seed=7) if stack == "ragged" else _long_stack(np.float32)
     upstream = np.random.default_rng(8).standard_normal((sum(map(len, mats)), 128))
     params = [model.proj[modality], *model.ln.get(modality, ())]
     grads = []
@@ -127,8 +149,8 @@ def test_a_batch_projects_each_modality_and_scale_once():
 
 
 def test_embedding_64_default_observations_stays_under_15_mib():
-    """The layer norm's float64 scratch spans one observation's rows, so
-    embedding a full chunk peaks no higher than the per-observation path."""
+    """The layer norm's float64 scratch spans one LN_BLOCK-row block, not a
+    whole (modality, scale) stack, so embedding a full chunk stays small."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = PlaceModel(ModelConfig(), seed=0)
     observations = dataset.ground[:64]
@@ -141,3 +163,44 @@ def test_embedding_64_default_observations_stays_under_15_mib():
         tracemalloc.stop()
     assert len(observations) == 64
     assert peak <= 15 * 2**20, peak
+
+
+class _Reductions(np.ndarray):
+    """An array view that counts the ufunc reductions run on it."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method.startswith("reduce"):
+            _Reductions.count += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_embedding_64_default_observations_normalizes_and_pools_in_blocks(monkeypatch):
+    """Each ground (modality, scale) node layer-normalizes its 64 x 64 token
+    rows in 16 calls of LN_BLOCK rows, not 64 calls of one observation each,
+    and pools its 64 equal segments with one reduction."""
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(), seed=0)
+    ln_rows, pool_reductions = [], []
+    layer_norm_values, mean_rows = ad.layer_norm_values, ad.mean_rows
+
+    def counting_layer_norm(x, *args):
+        ln_rows.append(len(x))
+        return layer_norm_values(x, *args)
+
+    def counting_mean_rows(a, counts=None):
+        viewed = ad.Tensor(a.value)
+        viewed.value = a.value.view(_Reductions)
+        _Reductions.count = 0
+        out = mean_rows(viewed, counts)
+        pool_reductions.append((len(counts), _Reductions.count))
+        return out
+
+    monkeypatch.setattr(ad, "layer_norm_values", counting_layer_norm)
+    monkeypatch.setattr(ad, "mean_rows", counting_mean_rows)
+    model.embed_ground(dataset.ground[:64])
+    nodes = 2 * model.config.num_scales
+    assert ln_rows == [LN_BLOCK] * 16 * nodes
+    assert pool_reductions == [(64, 1)] * nodes

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from magvlaq import magt, tokens
+from magvlaq import cli, magt, tokens
 from magvlaq.errors import ConfigurationError, DatasetValidationError
 
 SMALL = tokens.SynthConfig(
@@ -246,3 +248,61 @@ def test_load_rejects_unknown_kind(tmp_path):
     magt.write_container(entries, path)
     with pytest.raises(DatasetValidationError, match="unknown kind"):
         tokens.load_token_file(path)
+
+
+def test_a_nan_in_a_token_file_exits_3_naming_the_entry_the_exact_scan_names(tmp_path,
+                                                                           capsys):
+    ds = _tiny_dataset()
+    path = tmp_path / "ds.magt"
+    tokens.save_token_file(ds, path)
+    entries = magt.read_container(path)
+    for entry_id, scale in ((f"{ds.ground[3].id}#lidar", "scale_1"), (ds.aerial[0].id, "scale_0")):
+        tensor = next(e for e in entries if e.meta["id"] == entry_id).tensors[scale]
+        tensor[2, 3] = np.nan
+    magt.write_container(entries, path)
+    ds.ground[3].lidar.scales[1][2, 3] = np.nan
+    ds.aerial[0].token_set.scales[0][2, 3] = np.nan
+    first = tokens.validate_dataset(ds)[0]
+    assert first == tokens.Violation(ds.ground[3].id, "non-finite-tokens")
+    with pytest.raises(DatasetValidationError) as err:
+        tokens.load_token_file(path)
+    assert str(err.value) == f"{path}: non-finite-tokens on {first.entry_id!r}"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert f"non-finite-tokens on {first.entry_id!r}" in capsys.readouterr().err
+
+
+def test_a_nan_between_tensors_costs_the_exact_scan_but_never_fails_the_file(tmp_path,
+                                                                           monkeypatch):
+    """One isfinite pass covers a loaded file's whole buffer. A NaN word in a
+    gap between two tensors fails that pass, which falls back to the
+    per-matrix scan, and the file still loads with the same tokens."""
+    ds = _tiny_dataset()
+    path = tmp_path / "ds.magt"
+    tokens.save_token_file(ds, path)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: calls.append(x.shape) or isfinite(x))
+    tokens.load_token_file(path)
+    assert len(calls) == 1
+
+    raw = path.read_bytes()
+    head_len = struct.calcsize("<4sIQ")
+    header_len = struct.unpack_from("<4sIQ", raw)[2]
+    header = json.loads(raw[head_len : head_len + header_len])
+    blob = raw[head_len + header_len :]
+    records = [r for e in header["entries"] for r in e["tensors"]]
+    gap = records[0]["offset"] + 4 * records[0]["rows"] * records[0]["cols"]
+    for r in records[1:]:
+        r["offset"] += 4
+    header = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sIQ", magt.MAGIC, magt.VERSION, len(header)) + header
+                     + blob[:gap] + np.float32(np.nan).tobytes() + blob[gap:])
+    calls.clear()
+    back = tokens.load_token_file(path)
+    n_mats = sum(len(ts.scales) for g in ds.ground for ts in (g.image, g.lidar))
+    n_mats += sum(len(a.token_set.scales) for a in ds.aerial)
+    assert len(calls) == 1 + n_mats
+    for orig, got in zip(ds.ground, back.ground):
+        for a, b in zip(orig.image.scales + orig.lidar.scales, got.image.scales + got.lidar.scales):
+            assert a.tobytes() == b.tobytes()
