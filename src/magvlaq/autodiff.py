@@ -9,10 +9,10 @@ and take a mean as ``sum / n`` (np.mean's bits). A row-wise kernel gives a
 row the same bits in any block of rows, so a token projection may normalize
 a batch's rows in blocks. The MLP, the layer norm and the row normalization
 are numpy values/backward pairs, so a node that fuses several steps (an RK4
-flow, a token set's residual features, a token projection) reuses them. A
+flow, a view's residual features, a token projection) reuses them. A
 training batch's objective is one numpy node too (``training.objective``),
-so ``add`` of two same-shape matrices and ``scale`` are the only elementwise
-ops: nothing broadcasts."""
+so ``add`` of two same-shape matrices is the only elementwise op: nothing
+broadcasts."""
 
 from __future__ import annotations
 
@@ -122,17 +122,6 @@ def add(a, b) -> Tensor:
     return Tensor(a.value + b.value, (a, b), bw)
 
 
-def scale(a, k: float) -> Tensor:
-    a = as_tensor(a)
-    k = float(k)
-    out_value = a.value * k
-
-    def bw(out):
-        a.accumulate_grad(out.grad * k)
-
-    return Tensor(out_value, (a,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
@@ -153,32 +142,29 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_value, (a, b), bw)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_value = a.value.reshape(shape)
+def concat_rows(parts: Sequence, counts: Sequence[Sequence[int]] | None = None) -> Tensor:
+    """Stack 2-D blocks along the row axis; a single block is returned as is.
 
-    def bw(out):
-        a.accumulate_grad(out.grad.reshape(a.value.shape))
-
-    return Tensor(out_value, (a,), bw)
-
-
-def concat_rows(parts: Sequence) -> Tensor:
-    """Stack 2-D blocks along the row axis; a single block is returned as is."""
+    With ``counts``, block k is cut into consecutive segments of counts[k]
+    rows, and segment j of every block comes before segment j+1 of any."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_rows needs at least one block")
     if len(parts) == 1:
         return parts[0]
-    out_value = np.concatenate([p.value for p in parts], axis=0)
-    sizes = [p.value.shape[0] for p in parts]
+    counts = [[len(p.value)] for p in parts] if counts is None else counts
+    if (len({len(c) for c in counts}) > 1
+            or [sum(c) for c in counts] != [len(p.value) for p in parts]):
+        raise DimensionError(f"cannot cut blocks of {[p.value.shape for p in parts]} into {counts}")
+    blocks = [[p.value[stop - n : stop] for stop, n in zip(itertools.accumulate(c), c)]
+              for p, c in zip(parts, counts)]
+    out_value = np.concatenate([b for segment in zip(*blocks) for b in segment])
 
     def bw(out):
-        g = out.grad
-        start = 0
-        for p, n in zip(parts, sizes):
-            p.accumulate_grad(g[start : start + n])
-            start += n
+        sizes = [n for segment in zip(*counts) for n in segment]
+        g = np.split(out.grad, np.cumsum(sizes)[:-1])
+        for k, p in enumerate(parts):
+            p.accumulate_grad(np.concatenate(g[k :: len(parts)]))
 
     return Tensor(out_value, tuple(parts), bw)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,8 +99,10 @@ def _check_type(name: str, value, default) -> object:
             raise ConfigurationError(f"config field {name!r} must be an integer")
         return value
     if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"config field {name!r} must be a number")
+        # NaN, the infinities and ints past the float range fail the bound
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigurationError(f"config field {name!r} must be a finite number")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):
@@ -139,8 +142,8 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     data: dict = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")

@@ -86,10 +86,10 @@ class ModelConfig:
 
 @dataclass
 class GroundForward:
-    """Descriptor plus the prototype shift that produced it (None if unshifted)."""
+    """Descriptor plus the 1 x (S*D) prototype shift behind it (None if unshifted)."""
 
     descriptor: ad.Tensor
-    delta: ad.Tensor | None = None
+    shift: ad.Tensor | None = None
 
 
 def _mask_modalities(mask: str) -> tuple[str, ...]:
@@ -256,68 +256,57 @@ class PlaceModel:
 
     def predict_query_shift(self, embedding: ad.Tensor) -> ad.Tensor:
         """Map fusion embeddings (one row per observation) to additive
-        prototype shifts stacked by rows: S x D per observation."""
-        flat = ad.mlp_forward(
-            embedding, self.cond_layers, activation=self.config.activation
-        )
-        return ad.reshape(flat, (-1, self.config.proj_dim))
-
-    def adapt_prototypes(self, delta: ad.Tensor) -> ad.Tensor:
-        return ad.add(self.prototypes, ad.scale(delta, self.config.alpha))
+        prototype shifts, one flat S*D row per observation."""
+        return ad.mlp_forward(embedding, self.cond_layers, activation=self.config.activation)
 
     # ----- descriptors ----------------------------------------------------
 
-    def _banks(self, batch: GroundBatch, modalities: tuple[str, ...],
-               conditioned: bool | None) -> tuple[list[ad.Tensor], list[ad.Tensor | None]]:
-        """Prototype bank per observation of a batch and the shift that made it.
-
-        ``conditioned`` defaults to True only for the ode-vlaq aggregator.
-        Pooling has no bank to shift, and a zero shift strength collapses
-        conditioning to the shared bank exactly, so both skip the branch.
-        """
-        n = len(batch.observations)
+    def _shifts(self, batch: GroundBatch, modalities: tuple[str, ...],
+                conditioned: bool | None) -> ad.Tensor | None:
+        """Prototype shifts of a batch, a row per observation, or None for the
+        shared bank. ``conditioned`` defaults to True only for ode-vlaq; pooling
+        has no bank to shift, and a zero shift strength collapses conditioning
+        to the shared bank exactly, so both skip the branch."""
         if conditioned is None:
             conditioned = self.config.aggregator == "ode-vlaq"
         if (not conditioned or self.config.alpha == 0.0
                 or self.config.aggregator == "pooling"):
-            return [self.prototypes] * n, [None] * n
-        shifts = self.predict_query_shift(self.fusion_embedding(batch, modalities))
-        deltas = _split_rows(shifts, [self.config.num_queries] * n)
-        return [self.adapt_prototypes(d) for d in deltas], deltas
+            return None
+        return self.predict_query_shift(self.fusion_embedding(batch, modalities))
 
-    def _pre_head(self, tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
-        """One pre-head row of projected tokens: their mean for the pooling
-        aggregator, their residual features over ``bank`` otherwise."""
+    def _pre_head(self, tokens: ad.Tensor, counts: Sequence[int],
+                  shifts: ad.Tensor | None = None) -> ad.Tensor:
+        """Pre-head rows of stacked token sets, one per set of ``counts`` rows:
+        their means for the pooling aggregator, otherwise their residual
+        features over the prototype bank moved by ``shifts``."""
         if self.config.aggregator == "pooling":
-            return ad.mean_rows(tokens)
-        return vlaq.residual_features(tokens, bank)
+            return ad.mean_rows(tokens, counts)
+        return vlaq.residual_features(tokens, counts, self.prototypes, shifts,
+                                      self.config.alpha)
 
     def head(self, rows: Sequence[ad.Tensor]) -> ad.Tensor:
-        """Unit descriptors of pre-head rows, one per row: every row goes
-        through one projection matmul and one row-wise L2 norm, which raises
-        DegenerateInputError on a row that projects to zero."""
+        """Unit descriptors of blocks of pre-head rows, one per row in order:
+        every row goes through one projection matmul and one row-wise L2 norm,
+        which raises DegenerateInputError on a row that projects to zero."""
         proj = self.pool_proj if self.config.aggregator == "pooling" else self.agg_proj
         return ad.l2_normalize(ad.matmul(ad.concat_rows(rows), proj))
 
     def ground_rows(self, batch: GroundBatch, mask: str = "both",
                     conditioned: bool | None = None
-                    ) -> tuple[list[ad.Tensor], list[ad.Tensor | None]]:
-        """Pre-head rows of a batch under a sensor mask, and each row's
-        prototype shift (None where the bank is unshifted)."""
+                    ) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """Pre-head rows of a batch under a sensor mask as one node, a row per
+        observation, and the prototype shifts that moved their banks (None
+        where the bank is the shared one)."""
         modalities = _mask_modalities(mask)
-        banks, deltas = self._banks(batch, modalities, conditioned)
-        rows = [self._pre_head(t, bank) for t, bank in zip(batch.tokens(modalities), banks)]
-        return rows, deltas
+        shifts = self._shifts(batch, modalities, conditioned)
+        return self._pre_head(*batch.tokens(modalities), shifts), shifts
 
-    def aerial_rows(self, refs: Sequence[AerialReference]) -> list[ad.Tensor]:
-        """Pre-head rows of aerial references, always over the shared bank;
-        their tokens go through one projection node."""
+    def aerial_rows(self, refs: Sequence[AerialReference]) -> ad.Tensor:
+        """Pre-head rows of aerial references as one node, a row each, always
+        over the shared bank; their tokens go through one projection node."""
         mats = [ref.token_set.scales[-1] for ref in refs]
         projected = self.project_tokens(mats, "aerial", [ref.id for ref in refs])
-        return [
-            self._pre_head(t, self.prototypes)
-            for t in _split_rows(projected, [len(m) for m in mats])
-        ]
+        return self._pre_head(projected, [len(m) for m in mats])
 
     def ground_forward(self, obs: GroundObservation, mask: str = "both",
                        conditioned: bool | None = None) -> GroundForward:
@@ -326,13 +315,13 @@ class PlaceModel:
         Auxiliary single-modality descriptors pass ``conditioned=False`` to
         stay on the shared prototype bank.
         """
-        rows, deltas = self.ground_rows(GroundBatch(self, [obs]), mask, conditioned)
-        return GroundForward(self.head(rows), deltas[0])
+        rows, shift = self.ground_rows(GroundBatch(self, [obs]), mask, conditioned)
+        return GroundForward(self.head([rows]), shift)
 
     def aerial_descriptor(self, ref: AerialReference) -> ad.Tensor:
         """Descriptor for an aerial reference; never conditioned, so databases
         can be embedded once and reused for every query."""
-        return self.head(self.aerial_rows([ref]))
+        return self.head([self.aerial_rows([ref])])
 
     def assignment_heatmap(self, obs: GroundObservation, mask: str = "both",
                            conditioned: bool | None = None) -> np.ndarray:
@@ -343,9 +332,11 @@ class PlaceModel:
         with ad.no_grad():
             modalities = _mask_modalities(mask)
             batch = GroundBatch(self, [obs])
-            banks, _ = self._banks(batch, modalities, conditioned)
+            shifts = self._shifts(batch, modalities, conditioned)
+            shift = None if shifts is None else shifts.value[0]
+            bank = vlaq.shifted_bank(self.prototypes.value, shift, self.config.alpha)
             tokens = batch.tokens(modalities)[0].value
-            return vlaq.assignment_weights(tokens, banks[0].value).astype(tokens.dtype)
+            return vlaq.assignment_weights(tokens, bank).astype(tokens.dtype)
 
     # ----- embedding lists ------------------------------------------------
 
@@ -356,13 +347,14 @@ class PlaceModel:
         with ad.no_grad():
             for start in range(0, len(items), EMBED_CHUNK):
                 chunk = items[start : start + EMBED_CHUNK]
-                out[start : start + len(chunk)] = self.head(chunk_rows(chunk)).value
+                out[start : start + len(chunk)] = self.head([chunk_rows(chunk)]).value
         return out
 
     def embed_ground(self, observations: Sequence[GroundObservation],
                      mask: str = "both") -> np.ndarray:
         """Descriptors of ground observations (N x out_dim, input order); each
-        chunk runs its fusion cascade and conditioner on one batch of rows.
+        chunk's projection, fusion cascade, conditioner and aggregation run
+        as one node per stage on the stacked rows of the whole chunk.
         Rows match ``ground_forward`` (and ``embed_aerial``'s match
         ``aerial_descriptor``) to float32 rounding, 1e-6 at the default
         config, not bit for bit: a one-row matmul may take another kernel."""
@@ -373,12 +365,6 @@ class PlaceModel:
     def embed_aerial(self, references: Sequence[AerialReference]) -> np.ndarray:
         """Descriptors of aerial references (N x out_dim, input order)."""
         return self._embed(references, self.aerial_rows)
-
-
-def _split_rows(stacked: ad.Tensor, counts: Sequence[int]) -> list[ad.Tensor]:
-    """Consecutive row blocks of the given sizes, one slice_rows node each."""
-    starts = [0, *itertools.accumulate(counts)]
-    return [ad.slice_rows(stacked, start, stop) for start, stop in zip(starts, starts[1:])]
 
 
 class GroundBatch:
@@ -396,7 +382,6 @@ class GroundBatch:
         self.model = model
         self.observations = list(observations)
         self._last_scale: dict[str, tuple[ad.Tensor, list[int]]] = {}
-        self._rows: dict[str, list[ad.Tensor]] = {}
 
     def scale_tokens(self, modality: str, idx: int) -> tuple[ad.Tensor, list[int]]:
         """Projected tokens of one modality at one scale, every observation's
@@ -411,11 +396,10 @@ class GroundBatch:
             self._last_scale[modality] = projected
         return projected
 
-    def tokens(self, modalities: tuple[str, ...]) -> list[ad.Tensor]:
-        """Aggregation input per observation: the last scale of each
-        unmasked modality, stacked by rows."""
+    def tokens(self, modalities: tuple[str, ...]) -> tuple[ad.Tensor, list[int]]:
+        """Aggregation input of the batch and each observation's row count:
+        the last-scale projection of one modality as it is, of two one node
+        that stacks each observation's rows of both in modality order."""
         last = self.model.config.num_scales - 1
-        for m in modalities:
-            if m not in self._rows:
-                self._rows[m] = _split_rows(*self.scale_tokens(m, last))
-        return [ad.concat_rows(parts) for parts in zip(*(self._rows[m] for m in modalities))]
+        parts, counts = zip(*(self.scale_tokens(m, last) for m in modalities))
+        return ad.concat_rows(parts, counts), [sum(c) for c in zip(*counts)]

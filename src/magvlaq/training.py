@@ -67,6 +67,8 @@ class TrainSettings:
             raise ConfigurationError(f"loss weights must be finite, got {self.weights}")
         if not (math.isfinite(self.eval_radius) and self.eval_radius >= 0):
             raise ConfigurationError(f"eval radius must be finite and >= 0, got {self.eval_radius}")
+        if not self.eval_ks or min(self.eval_ks) < 1:
+            raise ConfigurationError(f"need one or more recall cutoffs >= 1, got {self.eval_ks}")
         self.thresholds.validate()
 
 
@@ -173,30 +175,27 @@ def aux_consistency_loss(distances: np.ndarray,
 def objective(distances: ad.Tensor, positives: Sequence[int], negatives: Sequence[int],
               ground_geos: Sequence[tuple[float, float]],
               reference_geos: Sequence[tuple[float, float]],
-              deltas: Sequence[ad.Tensor | None], settings: TrainSettings
+              shifts: ad.Tensor | None, settings: TrainSettings
               ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
     """The batch objective as one tape node: (l_tri, l_aux, l_q, total).
 
     ``distances`` is ground descriptors x references, placed by
     ``ground_geos`` and ``reference_geos`` for the consistency loss; its first
     ``len(positives)`` rows are the anchors' fused descriptors for the
-    triplet loss. l_q is the mean squared Frobenius norm of the anchors'
-    prototype shifts: a ``None`` shift (static or pooling aggregation) adds
-    zero but counts in the mean. The first three parts are values; ``total``
-    is the node, whose parents are ``distances`` and the shifts that are not
-    None. Every part takes the dtype of ``distances``.
+    triplet loss. l_q is the mean over the anchors of the squared norm of
+    their prototype shifts, one row of ``shifts`` each, and zero if
+    ``shifts`` is None (static or pooling aggregation). The first three parts
+    are values; ``total`` is the node, whose parents are ``distances`` and
+    ``shifts`` unless it is None. Every part takes the dtype of ``distances``.
     """
-    if not deltas:
-        raise ContractError("regularizer needs at least one anchor")
     d = distances.value
     l_tri, g_tri = triplet_loss(d[: len(positives)], positives, negatives, settings.margin)
     l_aux, g_aux = aux_consistency_loss(d, ground_geos, reference_geos,
                                         settings.thresholds, settings.margin)
-    shifts = [delta for delta in deltas if delta is not None]
     l_q = np.zeros((1, 1), d.dtype)
-    for delta in shifts:
-        l_q = l_q + np.array([[np.square(delta.value).sum(dtype=np.float64)]], d.dtype)
-    l_q = l_q * (1.0 / len(deltas))
+    for row in () if shifts is None else shifts.value:
+        l_q = l_q + np.array([[np.square(row).sum(dtype=np.float64)]], d.dtype)
+    l_q = l_q * (1.0 / len(positives))
     w = settings.weights
     total = (l_tri * w.triplet + l_aux * w.aux) + l_q * w.shift
 
@@ -205,12 +204,11 @@ def objective(distances: ad.Tensor, positives: Sequence[int], negatives: Sequenc
         grad = g_aux * (g * w.aux)
         grad[: len(positives)] += g_tri * (g * w.triplet)
         distances.accumulate_grad(grad)
-        g_q = g * w.shift * (1.0 / len(deltas))
-        for delta in shifts:
-            delta.accumulate_grad(2 * delta.value * g_q)
+        if shifts is not None:
+            shifts.accumulate_grad(2 * shifts.value * (g * w.shift * (1.0 / len(positives))))
 
-    return (ad.Tensor(l_tri), ad.Tensor(l_aux), ad.Tensor(l_q),
-            ad.Tensor(total, (distances, *shifts), bw))
+    parents = (distances,) if shifts is None else (distances, shifts)
+    return ad.Tensor(l_tri), ad.Tensor(l_aux), ad.Tensor(l_q), ad.Tensor(total, parents, bw)
 
 
 # Elements per adam_step block, which stays in cache across the seven passes:
@@ -291,13 +289,11 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     column = {rid: j for j, (rid, _) in enumerate(refs)}
 
     batch = GroundBatch(model, anchors)
-    fused, deltas = model.ground_rows(batch)
+    fused, shifts = model.ground_rows(batch)
     image, _ = model.ground_rows(batch, mask="image-only", conditioned=False)
     lidar, _ = model.ground_rows(batch, mask="lidar-only", conditioned=False)
     ground_count = 3 * len(anchors)
-    descriptors = model.head(
-        [*fused, *image, *lidar, *model.aerial_rows([ref for _, ref in refs])]
-    )
+    descriptors = model.head([fused, image, lidar, model.aerial_rows([ref for _, ref in refs])])
     distances = ad.pairwise_distance(
         ad.slice_rows(descriptors, 0, ground_count),
         ad.slice_rows(descriptors, ground_count, ground_count + len(refs)),
@@ -309,7 +305,7 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
         [column[ref.id] for ref in negatives],
         [obs.geo for obs in anchors] * 3,
         [ref.geo for _, ref in refs],
-        deltas,
+        shifts,
         settings,
     )
 

@@ -6,13 +6,15 @@ residuals against each prototype, intra-normalizes per query, and projects
 the flattened result to a fixed-size L2-normalized descriptor.
 
 Assignment and aggregation are numpy functions of arrays. ``residual_features``
-runs them and the intra-norm as one autodiff node per token set, with a
-hand-written reverse sweep for the tokens and the bank.
+runs them and the intra-norm over stacked token sets as one autodiff node, with
+a hand-written reverse sweep for the tokens, the bank and its per-set shifts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -57,29 +59,55 @@ def residual_aggregate(tokens: np.ndarray, prototypes: np.ndarray,
     return residuals
 
 
-def residual_features(tokens: ad.Tensor, bank: ad.Tensor) -> ad.Tensor:
-    """Pre-head row of one token set, tokens (N x D) -> 1 x (S*D), as one node:
-    soft assignment, residual aggregation, per-query intra-norm (a zero
-    residual passes through as zeros) and a row-major flatten."""
-    x, c = tokens.value, bank.value
-    alpha = assignment_weights(x, c).astype(x.dtype)
-    rows = ad.normalize_rows_values(residual_aggregate(x, c, alpha), strict=False)
+def shifted_bank(prototypes: np.ndarray, shift: np.ndarray | None, alpha: float) -> np.ndarray:
+    """One token set's S x D bank: ``prototypes`` moved by ``alpha`` times its
+    flat S*D ``shift``, or the shared ``prototypes`` if that is None."""
+    return prototypes if shift is None else prototypes + shift.reshape(prototypes.shape) * alpha
 
-    def bw(out):
-        g = ad.normalize_rows_backward(out.grad.reshape(c.shape), *rows)
-        g = g.astype(x.dtype, copy=False)
-        # The mass sum_n alpha[n, s] is one for every prototype, so its term
-        # sends gradient to the bank alone: on alpha it would be a constant
-        # per column, which the softmax sweep cancels.
-        alpha64 = alpha.astype(np.float64, copy=False)
-        g_logits = (x @ g.T).astype(np.float64, copy=False)
-        g_logits -= (alpha64 * g_logits).sum(axis=0, keepdims=True)
-        g_logits *= alpha64
-        g_logits = (g_logits * (1.0 / math.sqrt(x.shape[1]))).astype(x.dtype, copy=False)
-        tokens.accumulate_grad(alpha @ g + g_logits @ c)
-        bank.accumulate_grad(g_logits.T @ x - g)
 
-    return ad.Tensor(rows[0].astype(x.dtype).reshape(1, -1), (tokens, bank), bw)
+def residual_features(tokens: ad.Tensor, counts: Sequence[int], prototypes: ad.Tensor,
+                      shifts: ad.Tensor | None = None, alpha: float = 1.0) -> ad.Tensor:
+    """Pre-head rows of stacked token sets as one node, n x (S*D) for n
+    ``counts``: set i is the next counts[i] rows of ``tokens``, and its bank
+    is ``shifted_bank`` of row i of ``shifts``. Per set: soft assignment,
+    residual aggregation, per-query intra-norm (a zero residual passes
+    through as zeros) and a row-major flatten."""
+    x, c, alpha = tokens.value, prototypes.value, float(alpha)
+    out = np.empty((len(counts), c.size), x.dtype)
+    saved = []  # with a tape, each set's rows, bank, weights and intra-norm state
+    for i, (stop, n) in enumerate(zip(itertools.accumulate(counts), counts)):
+        rows = slice(stop - n, stop)
+        bank = shifted_bank(c, None if shifts is None else shifts.value[i], alpha)
+        weights = assignment_weights(x[rows], bank).astype(x.dtype)
+        norm = ad.normalize_rows_values(residual_aggregate(x[rows], bank, weights), strict=False)
+        out[i] = norm[0].reshape(-1)
+        if ad.grad_enabled():
+            saved.append((rows, bank, weights, norm))
+
+    def bw(node):
+        g_tokens, g_prototypes, g_shifts = np.empty_like(x), np.zeros_like(c), []
+        for i, (rows, bank, weights, norm) in enumerate(saved):
+            g = ad.normalize_rows_backward(node.grad[i].reshape(c.shape), *norm)
+            g = g.astype(x.dtype, copy=False)
+            # The mass sum_n w[n, s] is one for every prototype, so its term
+            # sends gradient to the bank alone: on the weights w it would be
+            # a constant per column, which the softmax sweep cancels.
+            weights64 = weights.astype(np.float64, copy=False)
+            g_logits = (x[rows] @ g.T).astype(np.float64, copy=False)
+            g_logits -= (weights64 * g_logits).sum(axis=0, keepdims=True)
+            g_logits *= weights64
+            g_logits = (g_logits * (1.0 / math.sqrt(x.shape[1]))).astype(x.dtype, copy=False)
+            g_tokens[rows] = weights @ g + g_logits @ bank
+            g_bank = g_logits.T @ x[rows] - g
+            g_prototypes += g_bank
+            if shifts is not None:
+                g_shifts.append((g_bank * alpha).reshape(-1))
+        tokens.accumulate_grad(g_tokens)
+        prototypes.accumulate_grad(g_prototypes)
+        if shifts is not None:
+            shifts.accumulate_grad(np.stack(g_shifts))
+
+    return ad.Tensor(out, (tokens, prototypes, *([] if shifts is None else [shifts])), bw)
 
 
 def vlaq_descriptor(tokens: ad.Tensor, prototypes: ad.Tensor,
@@ -95,4 +123,5 @@ def vlaq_descriptor(tokens: ad.Tensor, prototypes: ad.Tensor,
         raise DimensionError(
             f"projection expects {s * d} inputs, got {proj_w.value.shape[0]}"
         )
-    return ad.l2_normalize(ad.matmul(residual_features(tokens, prototypes), proj_w))
+    return ad.l2_normalize(ad.matmul(residual_features(tokens, [len(tokens.value)], prototypes),
+                                     proj_w))

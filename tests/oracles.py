@@ -103,8 +103,9 @@ def finite_difference_grad(
     return grad
 
 
-# Constant leaves and the broadcasting elementwise ops the composed oracles
-# below are built from; the package's own ``add`` takes same-shape operands.
+# Constant leaves and the broadcasting elementwise ops, scaling and reshaping
+# the composed oracles below are built from; the package's own ``add`` takes
+# same-shape operands.
 
 
 class _Constant(Tensor):
@@ -184,6 +185,25 @@ def relu(a) -> Tensor:
         a.accumulate_grad(out.grad * (a.value > 0))
 
     return Tensor(out_value, (a,), bw)
+
+
+def scale(a, k: float) -> Tensor:
+    a = as_tensor(a)
+    k = float(k)
+
+    def bw(out):
+        a.accumulate_grad(out.grad * k)
+
+    return Tensor(a.value * k, (a,), bw)
+
+
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
+
+    def bw(out):
+        a.accumulate_grad(out.grad.reshape(a.value.shape))
+
+    return Tensor(a.value.reshape(shape), (a,), bw)
 
 
 def sum_all(a) -> Tensor:
@@ -317,7 +337,7 @@ def assignment_weights(tokens: Tensor, prototypes: Tensor) -> Tensor:
         raise DimensionError(
             f"token dim {n_dim} does not match prototype dim {s_dim}"
         )
-    logits = ad.scale(ad.matmul(tokens, transpose(prototypes)), 1.0 / math.sqrt(n_dim))
+    logits = scale(ad.matmul(tokens, transpose(prototypes)), 1.0 / math.sqrt(n_dim))
     return softmax_columns(logits)
 
 
@@ -335,7 +355,25 @@ def residual_features(tokens: Tensor, prototypes: Tensor) -> Tensor:
     s, d = prototypes.value.shape
     alpha = assignment_weights(tokens, prototypes)
     residuals = residual_aggregate(tokens, prototypes, alpha)
-    return ad.reshape(normalize_rows(residuals, strict=False), (1, s * d))
+    return reshape(normalize_rows(residuals, strict=False), (1, s * d))
+
+
+def shifted_bank(prototypes: Tensor, shift: Tensor, alpha: float) -> Tensor:
+    """The bank of one token set: prototypes + alpha * its 1 x (S*D) shift."""
+    return ad.add(prototypes, scale(reshape(shift, prototypes.value.shape), alpha))
+
+
+def stacked_residual_features(tokens: Tensor, counts: Sequence[int], prototypes: Tensor,
+                              shifts: Tensor | None = None, alpha: float = 1.0) -> Tensor:
+    """vlaq.residual_features as the per-set graph it replaced: slices of the
+    token stack and of the shifts, a bank per set and one row per set."""
+    rows, start = [], 0
+    for i, n in enumerate(counts):
+        bank = prototypes if shifts is None else \
+            shifted_bank(prototypes, ad.slice_rows(shifts, i, i + 1), alpha)
+        rows.append(residual_features(ad.slice_rows(tokens, start, start + n), bank))
+        start += n
+    return ad.concat_rows(rows)
 
 
 # The MLP and the ops it was composed of before it became one node:
@@ -409,11 +447,11 @@ def rk4_unrolled(state: ad.Tensor, dynamics: Callable[[ad.Tensor], ad.Tensor],
     y = state
     for i in range(steps):
         k1 = dynamics(y)
-        k2 = dynamics(ad.add(y, ad.scale(k1, h / 2.0)))
-        k3 = dynamics(ad.add(y, ad.scale(k2, h / 2.0)))
-        k4 = dynamics(ad.add(y, ad.scale(k3, h)))
-        increment = ad.add(ad.add(k1, ad.scale(k2, 2.0)), ad.add(ad.scale(k3, 2.0), k4))
-        y = ad.add(y, ad.scale(increment, h / 6.0))
+        k2 = dynamics(ad.add(y, scale(k1, h / 2.0)))
+        k3 = dynamics(ad.add(y, scale(k2, h / 2.0)))
+        k4 = dynamics(ad.add(y, scale(k3, h)))
+        increment = ad.add(ad.add(k1, scale(k2, 2.0)), ad.add(scale(k3, 2.0), k4))
+        y = ad.add(y, scale(increment, h / 6.0))
         if not np.isfinite(y.value).all():
             raise DivergenceError(
                 f"non-finite state after integration step {i + 1} of {steps}"
@@ -440,7 +478,7 @@ def _mean(terms: list[ad.Tensor]) -> ad.Tensor:
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
+    return scale(total, 1.0 / len(terms))
 
 
 def triplet_loss(anchors: list[ad.Tensor], positives: list[ad.Tensor],
@@ -535,7 +573,7 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
         settings.thresholds,
         settings.margin,
     )
-    l_q = query_shift_regularizer([f.delta for f in fused], model.dtype)
+    l_q = query_shift_regularizer([f.shift for f in fused], model.dtype)
     return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
 
 
@@ -575,7 +613,7 @@ def matrix_aux_consistency_loss(distances: Tensor,
     sign = near.astype(dtype) - far.astype(dtype)
     offset = (np.where(near, -margin, 0.0) + np.where(far, 2.0 * margin, 0.0)).astype(dtype)
     hinge = relu(add(mul(distances, constant(sign)), constant(offset)))
-    return ad.scale(sum_all(hinge), 1.0 / count)
+    return scale(sum_all(hinge), 1.0 / count)
 
 
 def query_shift_regularizer(deltas: list[Tensor | None], dtype) -> Tensor:
@@ -587,23 +625,25 @@ def query_shift_regularizer(deltas: list[Tensor | None], dtype) -> Tensor:
     total = terms[0]
     for t in terms[1:]:
         total = add(total, t)
-    return ad.scale(total, 1.0 / len(deltas))
+    return scale(total, 1.0 / len(deltas))
 
 
 def total_loss(l_tri: Tensor, l_aux: Tensor, l_q: Tensor,
                weights: training.LossWeights) -> Tensor:
     return add(
-        add(ad.scale(l_tri, weights.triplet), ad.scale(l_aux, weights.aux)),
-        ad.scale(l_q, weights.shift),
+        add(scale(l_tri, weights.triplet), scale(l_aux, weights.aux)),
+        scale(l_q, weights.shift),
     )
 
 
 def objective(distances: Tensor, positives: Sequence[int], negatives: Sequence[int],
               ground_geos: Sequence[tuple[float, float]],
               reference_geos: Sequence[tuple[float, float]],
-              deltas: list[Tensor | None], settings: training.TrainSettings
+              shifts: Tensor | None, settings: training.TrainSettings
               ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """(l_tri, l_aux, l_q, total) with training.objective's arguments."""
+    deltas = [None if shifts is None else ad.slice_rows(shifts, i, i + 1)
+              for i in range(len(positives))]
     l_tri = matrix_triplet_loss(ad.slice_rows(distances, 0, len(positives)),
                                 positives, negatives, settings.margin)
     l_aux = matrix_aux_consistency_loss(distances, ground_geos, reference_geos,

@@ -82,7 +82,7 @@ def test_broadcast_gradients_unbroadcast_to_parameter_shape():
 
 def test_diamond_graph_accumulates_both_paths():
     x = ad.Tensor(np.array([[2.0]]))
-    loss = ad.add(oracles.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x -> d/dx = 2x + 3
+    loss = ad.add(oracles.mul(x, x), oracles.scale(x, 3.0))  # x^2 + 3x -> d/dx = 2x + 3
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, [[7.0]])
 
@@ -90,7 +90,7 @@ def test_diamond_graph_accumulates_both_paths():
 def test_repeated_backward_doubles_leaf_but_not_interior():
     x = ad.Tensor(np.array([[3.0]]))
     y = oracles.mul(x, x)
-    loss = ad.scale(y, 2.0)  # d/dx = 4x = 12
+    loss = oracles.scale(y, 2.0)  # d/dx = 4x = 12
     ad.backward(loss)
     ad.backward(loss)
     np.testing.assert_allclose(x.grad, [[24.0]])  # leaves accumulate
@@ -118,7 +118,7 @@ def test_no_grad_in_one_thread_leaves_another_thread_taping():
         with ad.no_grad():
             inside.set()
             done.wait(timeout=30)
-            worker_parents.append(ad.scale(ad.Tensor(np.ones((1, 1))), 2.0)._parents)
+            worker_parents.append(oracles.scale(ad.Tensor(np.ones((1, 1))), 2.0)._parents)
 
     thread = threading.Thread(target=worker)
     thread.start()
@@ -144,8 +144,26 @@ def test_reshape_transpose_concat_gradients():
         return oracles.sum_all(oracles.mul(oracles.transpose(stacked), oracles.transpose(stacked)))
 
     _fd_check(build, [a, b])
-    flat = ad.reshape(a, (3, 4))
+    flat = oracles.reshape(a, (3, 4))
     assert flat.value.shape == (3, 4)
+
+
+def test_concat_rows_interleaves_segments_of_each_block():
+    """With counts, segment j of every block comes before segment j+1; the
+    gradient of each block is its own rows of the output's."""
+    rng = np.random.default_rng(5)
+    a = ad.Tensor(_rand(rng, 5, 3))
+    b = ad.Tensor(_rand(rng, 4, 3))
+    counts = [[2, 0, 3], [1, 2, 1]]
+    out = ad.concat_rows([a, b], counts)
+    want = np.concatenate([a.value[:2], b.value[:1], b.value[1:3], a.value[2:], b.value[3:]])
+    assert out.value.tobytes() == want.tobytes()
+    w = _rand(rng, 9, 3)
+    _fd_check(lambda: oracles.sum_all(oracles.mul(ad.concat_rows([a, b], counts),
+                                                  ad.Tensor(w))), [a, b])
+    for blocks, bad in (([a, b], [[2, 3], [4]]), ([a, b], [[5], [3]])):
+        with pytest.raises(DimensionError, match="cannot cut"):
+            ad.concat_rows(blocks, bad)
 
 
 def test_slice_rows_value_gradient_and_bounds():

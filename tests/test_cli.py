@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -358,7 +359,46 @@ def test_bad_radius_or_loss_weight_in_config_exits_2(tmp_path, capsys, key, valu
     assert rc == 2
     assert not (tmp_path / "run").exists()
     err = capsys.readouterr().err
-    assert ("radius" if key == "eval_radius" else "loss weight") in err
+    # a non-finite number fails the type check, which names the field
+    assert ("radius" if value == -1.0 else f"{key!r} must be a finite number") in err
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(config.RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_non_finite_number_in_config_exits_2_before_any_output(tmp_path, capsys, key):
+    """JSON's Infinity and NaN (and a literal past the float range) are
+    rejected with the config, before config.json or trace.csv is written."""
+    assert {"lr", "horizon", "alpha", "eval_radius"} <= set(FLOAT_FIELDS)
+    bad = tmp_path / "bad.json"
+    for literal in ("Infinity", "-Infinity", "NaN", "1e999"):
+        bad.write_text(json.dumps(TINY)[:-1] + f', "{key}": {literal}}}')
+        rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 2, literal
+        assert not (tmp_path / "run").exists()
+        assert f"{key!r} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"modality_tag": "a\u00e9rien"}'.encode("latin-1"))  # 0xe9 alone
+    rc = cli.main([command, "--config", str(bad), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ks", [[], [0], [1, -5]])
+def test_bad_recall_cutoffs_in_config_exit_2_before_training(tmp_path, capsys, ks):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY, "eval_ks": ks}))
+    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "recall cutoff" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "trace.csv").exists()
 
 
 def test_missing_files_exit_3(tmp_path, capsys):

@@ -80,11 +80,11 @@ def test_prototype_shift_is_exactly_zero_at_init(dataset):
     m = PlaceModel(MODEL, seed=5)
     obs = dataset.ground[0]
     with ad.no_grad():
-        delta = m.predict_query_shift(m.fusion_embedding(GroundBatch(m, [obs])))
-    assert np.count_nonzero(delta.value) == 0
-    with ad.no_grad():
-        bank = m.adapt_prototypes(delta)
-    assert bank.value.tobytes() == m.prototypes.value.tobytes()
+        shifts = m.predict_query_shift(m.fusion_embedding(GroundBatch(m, [obs])))
+    assert shifts.shape == (1, MODEL.num_queries * MODEL.proj_dim)
+    assert np.count_nonzero(shifts.value) == 0
+    bank = vlaq.shifted_bank(m.prototypes.value, shifts.value[0], m.config.alpha)
+    assert bank.tobytes() == m.prototypes.value.tobytes()
 
 
 def test_alpha_zero_collapses_to_static_bit_for_bit(dataset):
@@ -186,11 +186,13 @@ def test_heatmap_shows_the_bank_ground_forward_uses(dataset, aggregator):
         for conditioned in (None, False, True):
             with ad.no_grad():
                 fwd = m.ground_forward(obs, mask=mask, conditioned=conditioned)
-                bank = m.prototypes if fwd.delta is None else m.adapt_prototypes(fwd.delta)
-                toks = GroundBatch(m, [obs]).tokens(_mask_modalities(mask))[0]
-                want = vlaq.assignment_weights(toks.value, bank.value).astype(np.float32)
+                shift = None if fwd.shift is None else fwd.shift.value[0]
+                bank = vlaq.shifted_bank(m.prototypes.value, shift, m.config.alpha)
+                toks, counts = GroundBatch(m, [obs]).tokens(_mask_modalities(mask))
+                assert counts == [len(toks.value)]
+                want = vlaq.assignment_weights(toks.value, bank).astype(np.float32)
             shifted = conditioned or (conditioned is None and aggregator == "ode-vlaq")
-            assert (fwd.delta is not None) == shifted
+            assert (fwd.shift is not None) == shifted
             got = m.assignment_heatmap(obs, mask=mask, conditioned=conditioned)
             np.testing.assert_array_equal(got, want)
 

@@ -138,9 +138,9 @@ def test_a_batch_projects_each_modality_and_scale_once():
     model = PlaceModel(cfg, seed=3)
     batch = GroundBatch(model, tokens.generate_synthetic_dataset(synth, 3).ground)
     rows = [
-        *model.ground_rows(batch)[0],
-        *model.ground_rows(batch, "image-only", conditioned=False)[0],
-        *model.ground_rows(batch, "lidar-only", conditioned=False)[0],
+        model.ground_rows(batch)[0],
+        model.ground_rows(batch, "image-only", conditioned=False)[0],
+        model.ground_rows(batch, "lidar-only", conditioned=False)[0],
     ]
     nodes = _nodes(model.head(rows))
     for modality in ("image", "lidar"):

@@ -1,7 +1,8 @@
 """Aggregation core: oracle equivalence, softmax axis, invariances, gradients.
 
-``vlaq.residual_features`` is one tape node per token set; the composed-op
-version it replaced (``oracles.residual_features``) is its reference.
+``vlaq.residual_features`` is one tape node for a stack of token sets; the
+per-set composed-op graph it replaced (``oracles.residual_features``, stacked
+by ``oracles.stacked_residual_features``) is its reference.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def test_residual_features_node_matches_composed_oracle(case, dtype):
     tokens, bank = _node_case(case, dtype)
     upstream = np.random.default_rng(7).standard_normal((1, bank.size)).astype(dtype)
     results = []
-    for features in (vlaq.residual_features, oracles.residual_features):
+    for features in (vlaq.residual_features, oracles.stacked_residual_features):
         leaves = ad.Tensor(tokens.copy()), ad.Tensor(bank.copy())
-        out = features(*leaves)
+        out = features(leaves[0], [len(tokens)], leaves[1])
         ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
         results.append([out.value, *(leaf.grad for leaf in leaves)])
     (got, *got_grads), (want, *want_grads) = results
@@ -163,18 +164,46 @@ def test_residual_features_node_matches_composed_oracle(case, dtype):
             assert np.abs(g - w).max() <= 1e-9 * np.abs(w).max(), case
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_stacked_token_sets_match_the_per_set_graph(shifted, dtype):
+    """Sets of 1, 7 and 3 tokens, over the shared bank or each over the bank
+    its shift row moves: the rows bit for bit, and the token, prototype and
+    shift gradients up to summation order."""
+    rng = np.random.default_rng([3, shifted])
+    counts, s, d, alpha = [1, 7, 3], 4, 6, 0.3
+    tokens = rng.standard_normal((sum(counts), d)).astype(dtype)
+    prototypes = (rng.standard_normal((s, d)) / np.sqrt(d)).astype(dtype)
+    shifts = rng.standard_normal((len(counts), s * d)).astype(dtype) if shifted else None
+    upstream = rng.standard_normal((len(counts), s * d)).astype(dtype)
+    results = []
+    for features in (vlaq.residual_features, oracles.stacked_residual_features):
+        leaves = [ad.Tensor(a.copy()) for a in (tokens, prototypes, shifts) if a is not None]
+        out = features(leaves[0], counts, leaves[1], leaves[2] if shifted else None, alpha)
+        ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
+        results.append([out.value, *(leaf.grad for leaf in leaves)])
+    (got, *got_grads), (want, *want_grads) = results
+    assert got.dtype == dtype and got.shape == (3, s * d)
+    assert got.tobytes() == want.tobytes()
+    tol = 1e-9 if dtype == np.float64 else 1e-5
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= tol * np.abs(w).max()
+
+
 def test_residual_features_is_one_node_and_keeps_nothing_without_a_tape():
     tokens, bank = (ad.Tensor(a) for a in _node_case("one-prototype", np.float64))
-    row = vlaq.residual_features(tokens, bank)
-    assert row._parents == (tokens, bank)
-    with ad.no_grad():
-        row = vlaq.residual_features(tokens, bank)
-    assert row._parents == () and row._backward is None
+    shifts = ad.Tensor(np.ones((2, bank.value.size)))
+    for given in (None, shifts):
+        rows = vlaq.residual_features(tokens, [4, 5], bank, given, 0.5)
+        assert rows._parents == (tokens, bank) + ((shifts,) if given else ())
+        with ad.no_grad():
+            rows = vlaq.residual_features(tokens, [4, 5], bank, given, 0.5)
+        assert rows._parents == () and rows._backward is None
 
 
 def test_zero_residual_rows_pass_gradient_zeros():
     tokens, bank = (ad.Tensor(a) for a in _node_case("zero-residual", np.float64))
-    ad.backward(oracles.sum_all(vlaq.residual_features(tokens, bank)))
+    ad.backward(oracles.sum_all(vlaq.residual_features(tokens, [1], bank)))
     # prototype 1's residual is zero: its row of the bank gets no gradient
     assert not bank.grad[1].any() and bank.grad[[0, 2]].all()
 
@@ -201,7 +230,8 @@ def test_dimension_mismatches_and_empty_token_sets_raise():
         vlaq.assignment_weights(np.ones((3, 4)), np.ones((2, 5)))
     for empty in (np.ones((0, 4)), np.ones((3, 0))):
         with pytest.raises(DimensionError, match="cannot assign"):
-            vlaq.residual_features(ad.Tensor(empty), ad.Tensor(np.ones((2, empty.shape[1]))))
+            vlaq.residual_features(ad.Tensor(empty), [len(empty)],
+                                   ad.Tensor(np.ones((2, empty.shape[1]))))
     with pytest.raises(DimensionError, match="projection"):
         vlaq.vlaq_descriptor(
             ad.Tensor(np.ones((3, 4))),
