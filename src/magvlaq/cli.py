@@ -53,13 +53,18 @@ def save_checkpoint(model: PlaceModel, run_config: config_mod.RunConfig,
     return magt.write_container([entry], path)
 
 
-def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]:
+def load_checkpoint(path: str | Path, moments: bool = True
+                    ) -> tuple[config_mod.RunConfig, PlaceModel]:
     """Rebuild the model (and optimizer moments) saved by save_checkpoint.
 
     Parameters and moments are validated as the model registers them, and
     then adopted as they are: views of the buffer the container was read into.
+    With ``moments=False`` the Adam moments are read and validated but not
+    kept: the buffer holds the parameters alone, and the store's moments are
+    None, so it cannot take an optimizer step.
     """
-    entries = magt.read_container(path)
+    entries = magt.read_container(
+        path, keep=None if moments else lambda key: key.startswith("param."))
     if len(entries) != 1 or entries[0].meta.get("kind") != CHECKPOINT_KIND:
         raise DatasetValidationError(
             f"{path}: not a checkpoint container"
@@ -78,19 +83,19 @@ def load_checkpoint(path: str | Path) -> tuple[config_mod.RunConfig, PlaceModel]
         arrays = []
         for key in (f"param.{name}", f"adam_m.{name}", f"adam_v.{name}"):
             arr = entry.tensors.get(key)
-            if arr is None:
+            if arr is None and key not in entry.skipped:
                 raise DatasetValidationError(f"{path}: checkpoint missing tensor {key!r}")
-            if arr.shape != shape:
+            got, finite = (arr.shape, None) if arr is not None else entry.skipped[key]
+            if got != shape:
                 raise DatasetValidationError(
                     f"{path}: checkpoint tensor {key!r} has shape "
-                    f"{arr.shape}, expected {shape}"
+                    f"{got}, expected {shape}"
                 )
-            # NaN reaches both extremes and an infinity one, with no full-size mask
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            if not (finite if arr is None else magt.all_finite(arr)):
                 raise DatasetValidationError(
                     f"{path}: checkpoint tensor {key!r} has a non-finite value"
                 )
-            arrays.append(np.asarray(arr, dtype=dtype))
+            arrays.append(arr if arr is None else np.asarray(arr, dtype=dtype))
         return tuple(arrays)
 
     model = PlaceModel.from_source(run_config.model_config(), adopt)
@@ -107,6 +112,8 @@ def _parse_ks(raw: str | None) -> tuple[int, ...] | None:
         raise ConfigurationError(f"--k expects comma-separated integers, got {raw!r}") from exc
     if not ks:
         raise ConfigurationError("--k must name at least one cutoff")
+    if min(ks) < 1:
+        raise ConfigurationError(f"--k recall cutoffs must be positive, got {raw!r}")
     return ks
 
 
@@ -176,11 +183,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    run_config, model = load_checkpoint(args.checkpoint)
+    ks = _parse_ks(args.k)
+    run_config, model = load_checkpoint(args.checkpoint, moments=False)
     if args.radius_m is not None:
         run_config = dataclasses.replace(run_config, eval_radius=args.radius_m)
         run_config.validate()
-    ks = _parse_ks(args.k) or tuple(run_config.eval_ks)
+    ks = ks or tuple(run_config.eval_ks)
     dataset = _load_or_generate(args, run_config)
     queries = dataset.ground if args.split == "all" else dataset.split_ground(args.split)
     if not queries:
@@ -205,7 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    run_config, model = load_checkpoint(args.checkpoint)
+    run_config, model = load_checkpoint(args.checkpoint, moments=False)
     dataset = _load_or_generate(args, run_config)
     entries = [
         magt.ContainerEntry(

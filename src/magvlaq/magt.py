@@ -18,12 +18,14 @@ from __future__ import annotations
 import contextlib
 import errno
 import glob
+import itertools
 import json
 import os
 import struct
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +41,8 @@ VERSION = 1
 _HEAD = struct.Struct("<4sIQ")
 # numpy's bound on one float32 dimension, even of an empty array
 _MAX_DIM = 2**61
+# Elements per read of a tensor that read_container streams through its scratch
+READ_BLOCK = 1 << 16
 
 
 @dataclass
@@ -47,6 +51,8 @@ class ContainerEntry:
 
     meta: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    # tensors read but not kept, by name: (header shape, every value finite)
+    skipped: dict[str, tuple[tuple[int, int], bool]] = field(default_factory=dict)
 
 
 def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
@@ -100,12 +106,18 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     return _HEAD.size + len(header) + offset
 
 
-def read_container(path: str | Path) -> list[ContainerEntry]:
+def read_container(path: str | Path,
+                   keep: Callable[[str], bool] | None = None) -> list[ContainerEntry]:
     """Read and validate a container file; raises distinct errors per defect.
 
     Both headers and every tensor record are checked before the blob region
-    is read, in one call, into one 4-byte aligned buffer. Each tensor is a
-    C-contiguous, writable view of that buffer, so the entries keep it alive.
+    is read, once and front to back. Each tensor whose name ``keep`` accepts
+    is a C-contiguous, writable view of one 4-byte aligned buffer sized for
+    those tensors alone, so the entries keep it alive; each run of adjacent
+    kept tensors is one read. Without ``keep`` that buffer is the whole blob
+    region, gaps included, read in one call. Every other tensor streams
+    through one reused scratch of ``READ_BLOCK`` elements and lands in its
+    entry's ``skipped`` with its header shape and whether it is finite.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -125,32 +137,53 @@ def read_container(path: str | Path) -> list[ContainerEntry]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptContainerError(f"{path}: header is not valid JSON ({exc})") from exc
         blob_len = size - _HEAD.size - header_len
-        layout = _tensor_layout(path, header, blob_len)
-        words = np.empty(-(-blob_len // 4), dtype="<f4")
-        if f.readinto(words.view(np.uint8)[:blob_len]) != blob_len:
+        entries, plan = _tensor_layout(path, header, blob_len, keep)
+        words = np.empty(-(-sum(p[0] for p in plan if p[4]) // 4), dtype="<f4")
+        scratch = np.empty(0 if all(p[4] for p in plan) else READ_BLOCK, dtype="<f4")
+        at = got = 0  # bytes put in the kept buffer (a multiple of 4 at each tensor), read
+        for kept, run in itertools.groupby(plan, key=lambda p: p[4]):
+            run = list(run)
+            if kept:
+                got += f.readinto(words.view(np.uint8)[at : at + sum(p[0] for p in run)])
+                for nbytes, entry, name, shape, _ in run:
+                    if entry is not None:
+                        entry.tensors[name] = words[at // 4 :][: nbytes // 4].reshape(shape)
+                    at += nbytes
+                continue
+            for nbytes, entry, name, shape, _ in run:
+                finite = True
+                for left in range(nbytes, 0, -4 * READ_BLOCK):  # the piece's unread bytes
+                    got += f.readinto(scratch.view(np.uint8)[:left])
+                    finite = finite and all_finite(scratch[: left // 4])
+                if entry is not None:
+                    entry.skipped[name] = (shape, finite)
+        if got != blob_len:
             raise TruncatedFileError(f"{path}: file shorter than its header promises")
-    return [
-        ContainerEntry(meta=meta, tensors={
-            name: words[start : start + rows * cols].reshape(rows, cols)
-            for name, (start, rows, cols) in records.items()
-        })
-        for meta, records in layout
-    ]
+    return entries
 
 
-def _tensor_layout(path: Path, header, blob_len: int
-                   ) -> list[tuple[dict, dict[str, tuple[int, int, int]]]]:
-    """Each entry's metadata and, by tensor name, its (first word, rows,
-    cols), after checking every record against ``blob_len`` blob bytes."""
+def all_finite(values: np.ndarray) -> bool:
+    """Whether no value is NaN or infinite. NaN reaches both extremes and an
+    infinity one, so no full-size mask is built."""
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def _tensor_layout(path: Path, header, blob_len: int, keep: Callable[[str], bool] | None
+                   ) -> tuple[list[ContainerEntry], list[tuple]]:
+    """The entries, with their metadata only, and the blob region in file
+    order as (bytes, entry, tensor name, shape, kept) pieces, after checking
+    every record against ``blob_len`` blob bytes. A gap between tensors is a
+    piece with no entry, name or shape, kept only when ``keep`` is None."""
     if not isinstance(header, dict) or not isinstance(header.get("entries"), list):
         raise CorruptContainerError(f"{path}: header missing 'entries' list")
-    layout = []
+    entries, plan = [], []
     last_end = 0
     for raw_entry in header["entries"]:
         if not isinstance(raw_entry, dict) or not isinstance(raw_entry.get("tensors"), list):
             raise CorruptContainerError(f"{path}: entry missing 'tensors' table")
-        meta = {k: v for k, v in raw_entry.items() if k != "tensors"}
-        records: dict[str, tuple[int, int, int]] = {}
+        entry = ContainerEntry({k: v for k, v in raw_entry.items() if k != "tensors"})
+        entries.append(entry)
+        names: set[str] = set()
         for rec in raw_entry["tensors"]:
             try:
                 name, rows, cols, off = rec["name"], rec["rows"], rec["cols"], rec["offset"]
@@ -160,7 +193,7 @@ def _tensor_layout(path: Path, header, blob_len: int
                 isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols, off)
             ):
                 raise CorruptContainerError(f"{path}: mistyped tensor record {rec!r}")
-            if name in records:
+            if name in names:
                 raise CorruptContainerError(f"{path}: duplicate tensor name {name!r}")
             if not (0 <= rows < _MAX_DIM and 0 <= cols < _MAX_DIM) or off < 0 or off % 4:
                 raise CorruptContainerError(f"{path}: bad offset/shape in record {rec!r}")
@@ -173,7 +206,11 @@ def _tensor_layout(path: Path, header, blob_len: int
                 raise TruncatedFileError(
                     f"{path}: tensor {name!r} extends past end of file"
                 )
-            records[name] = (off // 4, rows, cols)
+            names.add(name)
+            if off > last_end:
+                plan.append((off - last_end, None, None, None, keep is None))
+            plan.append((size, entry, name, (rows, cols), keep is None or keep(name)))
             last_end = off + size
-        layout.append((meta, records))
-    return layout
+    if blob_len > last_end:
+        plan.append((blob_len - last_end, None, None, None, keep is None))
+    return entries, plan

@@ -139,13 +139,13 @@ class PlaceModel:
         self.ln = {}
         for modality in ("image", "lidar"):
             gain = self.store.register(f"ln.{modality}.gain", (1, c.proj_dim),
-                                       self.dtype, np.ones)
+                                       self.dtype, lambda value: value.fill(1))
             bias = self.store.register(f"ln.{modality}.bias", (1, c.proj_dim),
-                                       self.dtype, np.zeros)
+                                       self.dtype, None)
             self.ln[modality] = (gain, bias)
         self.prototypes = self.store.register(
             "prototypes", (c.num_queries, c.proj_dim), self.dtype,
-            lambda shape, dt: vlaq.init_prototypes(*shape, rng, dt),
+            lambda v: np.copyto(v, vlaq.init_prototypes(*v.shape, rng, v.dtype)),
         )
         self.agg_proj = init_weight(self.store, "agg.proj.w", c.num_queries * c.proj_dim,
                                     c.out_dim, rng, dtype=self.dtype)

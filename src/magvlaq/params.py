@@ -10,12 +10,15 @@ from . import autodiff as ad
 from .errors import ConfigurationError
 
 Layer = tuple[ad.Tensor, ad.Tensor]
-# Draws a parameter's initial value from its (shape, dtype), as np.zeros does.
-Init = Callable[[tuple[int, ...], np.dtype], np.ndarray]
+# Elements per float64 normal draw in init_weight (whole rows, at least one)
+DRAW_BLOCK = 1 << 16
+# Writes a parameter's initial value in place into its array, which starts at
+# zero; an init of None keeps the zeros.
+Init = Callable[[np.ndarray], object]
 # Supplies a stored parameter's (value, first moment, second moment) from its
-# (name, shape, dtype), validating them first.
+# (name, shape, dtype), validating them first; the moments may be None.
 Source = Callable[[str, tuple[int, ...], np.dtype],
-                  tuple[np.ndarray, np.ndarray, np.ndarray]]
+                  tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]
 
 
 class ParamStore:
@@ -24,30 +27,34 @@ class ParamStore:
     Values are C-contiguous, and the first/second moment buffers share their
     shape and dtype; ``step`` counts optimizer updates to the whole store.
     A store built with a ``source`` adopts each registered parameter's value
-    and moments from it instead of drawing and zeroing them.
+    and moments from it instead of drawing and zeroing them. A source that
+    gives no moments (None) makes a store that cannot take an optimizer step.
     """
 
     def __init__(self, source: Source | None = None) -> None:
         self.params: dict[str, ad.Tensor] = {}
-        self.first_moment: dict[str, np.ndarray] = {}
-        self.second_moment: dict[str, np.ndarray] = {}
+        self.first_moment: dict[str, np.ndarray | None] = {}
+        self.second_moment: dict[str, np.ndarray | None] = {}
         self.step = 0
         self._source = source
 
     def register(self, name: str, shape: tuple[int, ...], dtype: np.dtype,
-                 init: Init) -> ad.Tensor:
+                 init: Init | None) -> ad.Tensor:
         """Register a parameter of the given shape and dtype.
 
-        Without a source, ``init`` draws its value now and both moments start
-        at zero. With one, the source's arrays are adopted without a copy and
-        ``init`` is never called.
+        Without a source, the value and both moments are the rows of one
+        ``np.zeros`` block (its own mapping when large, so the moments' pages
+        stay untouched until a step writes them and return to the system when
+        freed), and ``init`` writes the value in place. With a source, its
+        arrays are adopted without a copy and ``init`` is never called.
         """
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter name {name!r}")
         dtype = np.dtype(dtype)
         if self._source is None:
-            value = np.asarray(init(shape, dtype), order="C")
-            first, second = np.zeros_like(value), np.zeros_like(value)
+            value, first, second = np.zeros((3, *shape), dtype)
+            if init is not None:
+                init(value)
         else:
             value, first, second = self._source(name, shape, dtype)
         tensor = ad.Tensor(value)
@@ -73,10 +80,19 @@ class ParamStore:
 
 def init_weight(store: ParamStore, name: str, fan_in: int, fan_out: int,
                 rng: np.random.Generator | None, dtype=np.float32) -> ad.Tensor:
-    """Register one (fan_in, fan_out) weight drawn with std 1/sqrt(fan_in)."""
-    std = 1.0 / np.sqrt(fan_in)
-    return store.register(name, (fan_in, fan_out), dtype,
-                          lambda shape, dt: rng.normal(0.0, std, size=shape).astype(dt))
+    """Register one (fan_in, fan_out) weight drawn with std 1/sqrt(fan_in).
+
+    The float64 normals are drawn in blocks of whole rows and cast into the
+    weight: one whole draw's stream and bits, without its float64 copy.
+    """
+    std, rows = 1.0 / np.sqrt(fan_in), max(1, DRAW_BLOCK // max(1, fan_out))
+
+    def draw(value: np.ndarray) -> None:
+        for start in range(0, fan_in, rows):
+            block = value[start : start + rows]
+            block[...] = rng.normal(0.0, std, block.shape)
+
+    return store.register(name, (fan_in, fan_out), dtype, draw)
 
 
 def init_linear(
@@ -90,10 +106,10 @@ def init_linear(
 ) -> Layer:
     """Register one (weight, bias) pair; weight std is 1/sqrt(fan_in)."""
     if zero:
-        w = store.register(f"{prefix}.w", (fan_in, fan_out), dtype, np.zeros)
+        w = store.register(f"{prefix}.w", (fan_in, fan_out), dtype, None)
     else:
         w = init_weight(store, f"{prefix}.w", fan_in, fan_out, rng, dtype)
-    return w, store.register(f"{prefix}.b", (1, fan_out), dtype, np.zeros)
+    return w, store.register(f"{prefix}.b", (1, fan_out), dtype, None)
 
 
 def init_mlp(

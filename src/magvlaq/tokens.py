@@ -321,13 +321,14 @@ def _token_map(rng: np.random.Generator, cfg: SynthConfig) -> np.ndarray:
     return np.concatenate([block, -block], axis=0)
 
 
-def _emit_tokens(
-    amap: np.ndarray, latent: np.ndarray, noise: float, rng: np.random.Generator
-) -> np.ndarray:
+def _emit_tokens(amap: np.ndarray, latent: np.ndarray, noise: float,
+                 rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Write one noisy token matrix into the float32 ``out`` and return it."""
     clean = amap @ latent
     if noise > 0:
         clean = clean + rng.normal(0.0, noise, size=clean.shape)
-    return clean.astype(np.float32)
+    out[...] = clean
+    return out
 
 
 def generate_with_ground_truth(
@@ -351,11 +352,15 @@ def generate_with_ground_truth(
         for modality in ("image", "lidar")
     }
     aerial_map = _token_map(rng, config)
+    per_place = config.train_per_place + config.test_per_place
+    # every token matrix is a view of one float32 block, as in a loaded file,
+    # so a dataset's tokens are allocated and freed as one
+    views = iter(np.empty((config.num_places * (2 * per_place * config.num_scales + 1),
+                           *aerial_map.shape[:2]), dtype=np.float32))
 
     jitter_radius = config.tau_p / 2.0
     ground: list[GroundObservation] = []
     ground_place: dict[str, int] = {}
-    per_place = config.train_per_place + config.test_per_place
     for k in range(config.num_places):
         for j in range(per_place):
             obs_id = f"g{k:03d}_{j:02d}"
@@ -369,7 +374,8 @@ def generate_with_ground_truth(
             sets = {}
             for modality, kind in (("image", GROUND_IMAGE), ("lidar", GROUND_LIDAR)):
                 scales = [
-                    _emit_tokens(ground_maps[modality][s], latents[k], config.noise, rng)
+                    _emit_tokens(ground_maps[modality][s], latents[k], config.noise, rng,
+                                 next(views))
                     for s in range(config.num_scales)
                 ]
                 sets[modality] = TokenSet(id=obs_id, kind=kind, geo=geo, scales=scales)
@@ -385,7 +391,7 @@ def generate_with_ground_truth(
     for k in range(config.num_places):
         ref_id = f"a{k:03d}"
         geo = (float(centers[k, 0]), float(centers[k, 1]))
-        tokens = _emit_tokens(aerial_map, latents[k], config.noise, rng)
+        tokens = _emit_tokens(aerial_map, latents[k], config.noise, rng, next(views))
         aerial.append(
             AerialReference(
                 id=ref_id,

@@ -225,8 +225,10 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     by block over flat views of the store's C-contiguous arrays, which does
     not change its bits. A parameter without a gradient is updated as if its
     gradient were zero, without building one. Gradients are cleared after
-    the update.
+    the update. A store loaded without its moments raises ContractError.
     """
+    if any(m is None for m in store.first_moment.values()):
+        raise ContractError("the store was loaded without its Adam moments; it cannot step")
     for name, p in store.items():
         # NaN reaches both extremes and an infinity one, with no full-size mask
         g = p._grad

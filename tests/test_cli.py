@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magvlaq import cli, config, magt, retrieval, tokens
-from magvlaq.errors import ConfigurationError
+from magvlaq import cli, config, magt, retrieval, tokens, training
+from magvlaq.errors import (
+    ConfigurationError,
+    ContractError,
+    DatasetValidationError,
+    TokenFileError,
+)
 from magvlaq.model import PlaceModel
 from magvlaq.params import ParamStore
 
@@ -151,7 +160,7 @@ def test_a_sourced_model_adopts_its_arrays_in_registration_order():
 
 
 def test_a_sourced_store_never_calls_init():
-    def refuse(shape, dtype):
+    def refuse(value):
         raise AssertionError("init called")
 
     store = ParamStore(lambda name, shape, dtype: (np.ones(shape, dtype),) * 3)
@@ -184,6 +193,47 @@ def test_load_checkpoint_peaks_below_one_and_a_quarter_file_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_a_lean_load_reads_the_moments_but_keeps_only_the_parameters(trained):
+    path = trained / "checkpoint.magt"
+    _, full = cli.load_checkpoint(path)
+    _, lean = cli.load_checkpoint(path, moments=False)
+    values = [p.value for _, p in lean.store.items()]
+    assert values[0].base.nbytes == sum(v.nbytes for v in values)
+    assert all(v.base is values[0].base for v in values)
+    for name, p in full.store.items():
+        assert lean.store[name].value.tobytes() == p.value.tobytes()
+        assert lean.store.first_moment[name] is None
+        assert lean.store.second_moment[name] is None
+
+
+def test_lean_load_checkpoint_peaks_below_the_parameters_plus_2_mb(tmp_path):
+    cfg = config.RunConfig()
+    model = PlaceModel(cfg.model_config(), seed=cfg.seed)
+    param_bytes = sum(p.value.nbytes for _, p in model.store.items())
+    path = tmp_path / "ckpt.magt"
+    cli.save_checkpoint(model, cfg, path)
+    del model
+    tracemalloc.start()
+    try:
+        cli.load_checkpoint(path, moments=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes + 2 * 2**20, f"{peak - param_bytes} bytes over the parameters"
+
+
+def test_adam_step_on_a_store_loaded_without_moments_raises(trained):
+    _, model = cli.load_checkpoint(trained / "checkpoint.magt", moments=False)
+    before = {name: p.value.tobytes() for name, p in model.store.items()}
+    for _, p in model.store.items():
+        p.accumulate_grad(np.ones_like(p.value))
+    step = model.store.step
+    with pytest.raises(ContractError, match="without its Adam moments"):
+        training.adam_step(model.store, lr=1e-3)
+    assert model.store.step == step
+    assert {name: p.value.tobytes() for name, p in model.store.items()} == before
 
 
 def test_save_checkpoint_copies_no_tensor(tmp_path):
@@ -317,6 +367,20 @@ def test_bad_k_argument_exits_2(trained, capsys):
                    "--k", "one,five"])
     assert rc == 2
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "1,-5", "5,0,10"])
+def test_non_positive_k_exits_2_before_loading_or_embedding(trained, capsys, monkeypatch, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    monkeypatch.setattr(PlaceModel, "embed_ground", refuse)
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"), "--k", k])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --k recall cutoffs must be positive")
 
 
 @pytest.mark.parametrize("radius", ["-5", "nan", "inf"])
@@ -456,28 +520,80 @@ def test_checkpoint_validation_rejects_wrong_container(tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+def _run_on_checkpoint(command, path, tmp_path):
+    out = ["--out", str(tmp_path / "descriptors.magt")] if command == "export" else []
+    return cli.main([command, "--checkpoint", str(path), *out])
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
 @pytest.mark.parametrize("key", ["param.prototypes", "adam_m.prototypes",
                                  "adam_v.prototypes"])
-def test_wrong_shaped_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
+def test_wrong_shaped_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key, command):
     (entry,) = magt.read_container(trained / "checkpoint.magt")
     # (1, D) would broadcast into the (S, D) buffer if shapes went unchecked
     entry.tensors[key] = entry.tensors[key][:1]
     path = tmp_path / "corrupt.magt"
     magt.write_container([entry], path)
-    assert cli.main(["eval", "--checkpoint", str(path)]) == 3
+    assert _run_on_checkpoint(command, path, tmp_path) == 3
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "export"])
 @pytest.mark.parametrize("key", ["param.agg.proj.w", "adam_m.agg.proj.w",
                                  "adam_v.agg.proj.w"])
-def test_non_finite_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key):
+def test_non_finite_checkpoint_tensor_exits_3(trained, tmp_path, capsys, key, command):
     (entry,) = magt.read_container(trained / "checkpoint.magt")
     entry.tensors[key] = entry.tensors[key].copy()
     entry.tensors[key][0, 0] = np.nan
     path = tmp_path / "corrupt.magt"
     magt.write_container([entry], path)
-    assert cli.main(["eval", "--checkpoint", str(path)]) == 3
+    assert _run_on_checkpoint(command, path, tmp_path) == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(trained, tiny_config_path, tmp_path_factory):
+    """A directory with the tiny run's token file and its checkpoint's bytes."""
+    root = tmp_path_factory.mktemp("ckpt-fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--config", str(tiny_config_path),
+                         "--out", str(root / "data.magt")]) == 0
+    return root, (trained / "checkpoint.magt").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoints_exit_with_an_error_line_never_a_traceback(fuzz_checkpoint, data):
+    """Damaged checkpoint bytes through the lean load of eval and export: a
+    truncated file, or bytes the full load rejects, exit 3; no damage ever
+    escapes as an exception."""
+    root, valid = fuzz_checkpoint
+    truncated = data.draw(st.booleans(), label="truncate")
+    if truncated:
+        damaged = bytearray(valid[: data.draw(st.integers(0, len(valid) - 1))])
+    else:
+        damaged = bytearray(valid)
+        for _ in range(data.draw(st.integers(1, 4))):
+            damaged[data.draw(st.integers(0, len(valid) - 1))] = data.draw(st.integers(0, 255))
+    path = root / "damaged.magt"
+    path.write_bytes(damaged)
+    try:
+        cli.load_checkpoint(path)
+        expected = None  # exit 0, or 3 if a damaged run config no longer fits the tokens
+    except (TokenFileError, DatasetValidationError):
+        expected = 3
+    except ConfigurationError:
+        expected = 2
+    assert expected == 3 or not truncated
+    for command in ("eval", "export"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--checkpoint", str(path), "--data",
+                             str(root / "data.magt"), *(["--out", str(root / "d.magt")]
+                                                        if command == "export" else [])])
+        assert code == expected if expected else code in (0, 3)
+        assert (code == 0) == (err.getvalue() == "") and (
+            code == 0 or err.getvalue().startswith("error: ")), err.getvalue()
 
 
 @pytest.mark.parametrize("step", [True, -1, "3"])

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from magvlaq import autodiff as ad
-from magvlaq import tokens, vlaq
+from magvlaq import params, tokens, vlaq
 from magvlaq.errors import ConfigurationError, DimensionError
 from magvlaq.model import GroundBatch, ModelConfig, PlaceModel, _mask_modalities
 
@@ -74,6 +75,44 @@ def test_fresh_default_model_draws_the_same_weights_as_always(aggregator, dtype)
         digest.update(name.encode())
         digest.update(p.value.tobytes())
     assert digest.hexdigest() == FRESH_SEED_7[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_weight_draw_has_the_bits_of_one_whole_draw(dtype):
+    fan_out = 1000
+    fan_in = 3 * (params.DRAW_BLOCK // fan_out) + 5  # three whole blocks and a part
+    blocked, whole = np.random.default_rng(3), np.random.default_rng(3)
+    w = params.init_weight(params.ParamStore(), "w", fan_in, fan_out, blocked, dtype)
+    want = whole.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)).astype(dtype)
+    assert w.value.dtype == dtype and w.value.tobytes() == want.tobytes()
+    assert blocked.random() == whole.random()  # the draws used the same stream
+
+
+def test_a_fresh_default_model_draws_no_weight_sized_float64_copy(monkeypatch):
+    register, overhead = params.ParamStore.register, {}
+
+    def traced(store, name, shape, dtype, init):
+        def draw(value):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            init(value)
+            overhead[name] = tracemalloc.get_traced_memory()[1] - before
+        return register(store, name, shape, dtype, init and draw)
+
+    monkeypatch.setattr(params.ParamStore, "register", traced)
+    tracemalloc.start()
+    try:
+        store = PlaceModel(ModelConfig(), seed=7).store
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    value_bytes = sum(p.value.nbytes for _, p in store.items())
+    moment_bytes = sum(store.first_moment[name].nbytes for name in store.names())
+    assert peak < 1.1 * (value_bytes + 2 * moment_bytes), peak / (3 * value_bytes)
+    for name, p in store.items():  # a value and its moments are the rows of one block
+        assert store.first_moment[name].base is p.value.base is store.second_moment[name].base
+    # a draw writes into its value through one float64 block; a whole 8192 x 512 one is 32 MiB
+    assert max(overhead.values()) < 8 * params.DRAW_BLOCK + 2**16, overhead
 
 
 def test_prototype_shift_is_exactly_zero_at_init(dataset):

@@ -291,6 +291,43 @@ def test_read_peaks_at_one_buffer_of_the_file(tmp_path):
     assert peak < 1.05 * size, f"peak {peak / size:.2f}x the file size"
 
 
+def test_a_keep_filter_buffers_the_kept_tensors_alone_and_summarizes_the_rest(tmp_path):
+    rng = np.random.default_rng(6)
+    wide = rng.standard_normal((4, magt.READ_BLOCK // 2 + 3)).astype(np.float32)  # 3 blocks
+    bad = wide.copy()
+    bad[3, -1] = np.inf  # in the last block
+    kept = {"keep.a": rng.standard_normal((3, 5)).astype(np.float32),
+            "keep.b": rng.standard_normal((2, 7)).astype(np.float32)}
+    entries = [
+        magt.ContainerEntry(meta={"id": "x"}, tensors={"keep.a": kept["keep.a"],
+                                                      "skip.w": wide, "skip.bad": bad}),
+        magt.ContainerEntry(meta={"id": "y"}, tensors={"skip.empty": np.zeros((0, 4)),
+                                                      "keep.b": kept["keep.b"]}),
+    ]
+    path = tmp_path / "mixed.magt"
+    magt.write_container(entries, path)
+    tracemalloc.start()
+    try:
+        back = magt.read_container(path, keep=lambda name: name.startswith("keep."))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * magt.READ_BLOCK + 2**16, peak  # one scratch, not the 1.5 MiB skipped
+    assert [e.meta for e in back] == [{"id": "x"}, {"id": "y"}]
+    got = {name: arr for e in back for name, arr in e.tensors.items()}
+    assert {name: arr.tobytes() for name, arr in got.items()} == {
+        name: arr.tobytes() for name, arr in kept.items()}
+    assert got["keep.a"].base is got["keep.b"].base
+    assert got["keep.a"].base.nbytes == sum(arr.nbytes for arr in kept.values())
+    assert [e.skipped for e in back] == [
+        {"skip.w": (wide.shape, True), "skip.bad": (bad.shape, False)},
+        {"skip.empty": ((0, 4), True)},
+    ]
+    full = magt.read_container(path)
+    assert all(e.skipped == {} for e in full)
+    assert full[0].tensors["skip.bad"].tobytes() == bad.tobytes()
+
+
 def test_every_header_length_mod_4_round_trips_into_aligned_views(tmp_path):
     rng = np.random.default_rng(4)
     tensors = {"a": rng.standard_normal((3, 5)).astype(np.float32),

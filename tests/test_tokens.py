@@ -51,6 +51,11 @@ def test_generated_dataset_shape_and_splits():
             assert arr.shape == (SMALL.tokens_per_scale, SMALL.token_dim)
             assert arr.dtype == np.float32
     assert tokens.validate_dataset(ds) == []
+    # every token matrix is a view of one block, allocated and freed as one
+    mats = [m for obs in ds.ground for m in obs.image.scales + obs.lidar.scales]
+    mats += [m for ref in ds.aerial for m in ref.token_set.scales]
+    assert all(m.base is mats[0].base for m in mats)
+    assert mats[0].base.nbytes == sum(m.nbytes for m in mats)
 
 
 def test_noiseless_tokens_are_linear_in_the_place_latent():

@@ -243,7 +243,7 @@ def test_objective_node_matches_the_composed_oracle(dtype, case):
 def _add(store, name, value):
     """Register a parameter of ``store`` that starts at ``value``."""
     value = np.asarray(value, order="C")
-    return store.register(name, value.shape, value.dtype, lambda *_: value)
+    return store.register(name, value.shape, value.dtype, lambda out: np.copyto(out, value))
 
 
 def _adam_reference(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
