@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import glob
 import itertools
 import json
 import os
+import re
 import struct
 import uuid
 from dataclasses import dataclass, field
@@ -43,6 +43,8 @@ _HEAD = struct.Struct("<4sIQ")
 _MAX_DIM = 2**61
 # Elements per read of a tensor that read_container streams through its scratch
 READ_BLOCK = 1 << 16
+# A partial file of write_container's target; one pattern, not one cached per name
+_PARTIAL = re.compile(r"\.(.+)\.[0-9a-f]{32}\.partial", re.DOTALL)
 
 
 @dataclass
@@ -99,10 +101,12 @@ def write_container(entries: list[ContainerEntry], path: str | Path) -> int:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    for other in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 32}.partial"):
-        with contextlib.suppress(OSError):  # a newer partial file is a live writer's
-            if other.stat().st_mtime_ns < began:
-                other.unlink()
+    with os.scandir(path.parent) as siblings:
+        for other in siblings:
+            match = _PARTIAL.fullmatch(other.name)
+            with contextlib.suppress(OSError):  # a newer partial file is a live writer's
+                if match and match[1] == path.name and other.stat().st_mtime_ns < began:
+                    os.unlink(other.path)
     return _HEAD.size + len(header) + offset
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import fusion, vlaq
+from . import fusion, retrieval, vlaq
 from .errors import ConfigurationError, DimensionError
 from .params import Layer, ParamStore, Source, init_mlp, init_weight
 from .tokens import AerialReference, GroundObservation
@@ -341,23 +341,33 @@ class PlaceModel:
     # ----- embedding lists ------------------------------------------------
 
     def _embed(self, items: Sequence, chunk_rows) -> np.ndarray:
-        """Descriptors of items in input order, with no tape: each chunk of
-        at most EMBED_CHUNK items goes through ``chunk_rows`` and one head."""
+        """Descriptors of items in input order, with no tape, each chunk through
+        ``chunk_rows`` and one head into its rows of the output. Up to EMBED_CHUNK
+        items are one chunk on the calling thread; a longer list goes through
+        ``retrieval.parallel_map`` in chunks of EMBED_CHUNK // 2, so two in flight
+        hold about what one full chunk does. The bytes do not depend on the thread count."""
         out = np.empty((len(items), self.config.out_dim), self.dtype)
-        with ad.no_grad():
-            for start in range(0, len(items), EMBED_CHUNK):
-                chunk = items[start : start + EMBED_CHUNK]
+        size = EMBED_CHUNK if len(items) <= EMBED_CHUNK else EMBED_CHUNK // 2
+
+        def embed_chunk(start: int) -> None:
+            with ad.no_grad():  # a ContextVar: a worker thread starts taping
+                chunk = items[start : start + size]
                 out[start : start + len(chunk)] = self.head([chunk_rows(chunk)]).value
+
+        if len(items) > EMBED_CHUNK:
+            retrieval.parallel_map(embed_chunk, range(0, len(items), size))
+        elif items:
+            embed_chunk(0)
         return out
 
     def embed_ground(self, observations: Sequence[GroundObservation],
                      mask: str = "both") -> np.ndarray:
-        """Descriptors of ground observations (N x out_dim, input order); each
-        chunk's projection, fusion cascade, conditioner and aggregation run
-        as one node per stage on the stacked rows of the whole chunk.
-        Rows match ``ground_forward`` (and ``embed_aerial``'s match
-        ``aerial_descriptor``) to float32 rounding, 1e-6 at the default
-        config, not bit for bit: a one-row matmul may take another kernel."""
+        """Descriptors of ground observations (N x out_dim, input order), in
+        chunks spread over the workers as ``_embed`` says; each chunk's
+        projection, fusion cascade, conditioner and aggregation run as one node
+        per stage on its stacked rows. Rows match ``ground_forward`` (and
+        ``embed_aerial``'s match ``aerial_descriptor``) to float32 rounding, 1e-6
+        at the default config, not bit for bit: a one-row matmul may take another kernel."""
         return self._embed(
             observations, lambda chunk: self.ground_rows(GroundBatch(self, chunk), mask)[0]
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,10 +29,10 @@ THREAD_ENV_VAR = "MAGVLAQ_THREADS"
 def max_workers() -> int:
     """Worker count for embarrassingly parallel evaluation work.
 
-    Defaults to the CPU count; the MAGVLAQ_THREADS environment variable caps
-    it (values below 1 mean serial).
+    Defaults to the CPUs this process may run on, else the CPU count; the
+    MAGVLAQ_THREADS environment variable caps it (values below 1 mean serial).
     """
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     raw = os.environ.get(THREAD_ENV_VAR)
     if raw is None:
         return cpus
@@ -43,12 +44,35 @@ def max_workers() -> int:
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Order-preserving map over items, threaded when max_workers() > 1."""
-    workers = max_workers()
-    if workers <= 1 or len(items) <= 1:
+    """Order-preserving map over items on up to max_workers() threads, the
+    calling thread among them. Workers take items in input order and take no
+    more once one fails, so the map raises the exception of the first failing
+    item in input order, as the serial loop does. One worker or item is serial."""
+    workers = min(max_workers(), len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:  # one taker at a time, so items go in input order
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised again on the calling thread
+                errors[i] = exc
+
+    with ThreadPoolExecutor(workers - 1) as pool:  # its exit joins the helpers
+        for _ in range(workers - 1):
+            pool.submit(work)  # work keeps each exception, so no future holds one
+        work()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass

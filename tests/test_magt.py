@@ -157,6 +157,23 @@ def test_a_write_deletes_older_partial_files_of_its_target_and_keeps_newer_ones(
     assert {p.name for p in tmp_path.iterdir()} == {path.name, *(p.name for p in kept)}
 
 
+def test_writes_to_many_distinct_names_keep_no_memory_per_name(tmp_path):
+    """Batch export writes a new name every cycle; finding a target's partial
+    files must not compile (and cache) a pattern per name."""
+    entry = [magt.ContainerEntry({"id": "x"}, {"t": np.ones((1, 1), np.float32)})]
+    for i in range(20):
+        magt.write_container(entry, tmp_path / f"warm-{i}.magt")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(500):
+            magt.write_container(entry, tmp_path / f"export-{i}.magt")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
 def _valid_bytes(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "ok.magt"

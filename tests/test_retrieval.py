@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -252,11 +254,56 @@ def test_eval_report_json_is_sorted_and_compact():
     assert ": " not in text and text.index('"1"') < text.index('"5"')
 
 
+def _cpus(monkeypatch, *cpus: int) -> None:
+    """Let the process run on exactly these CPUs."""
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
 def test_parallel_map_preserves_order(monkeypatch):
+    _cpus(monkeypatch, 0, 1)
     items = list(range(37))
     assert retrieval.parallel_map(lambda x: x * x, items) == [x * x for x in items]
     monkeypatch.setenv(retrieval.THREAD_ENV_VAR, "1")
     assert retrieval.parallel_map(lambda x: -x, items) == [-x for x in items]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_parallel_map_raises_the_first_failing_items_exception(monkeypatch, threads):
+    """Item 3 fails late, after another worker has seen item 7 fail; the map
+    still raises item 3's exception, as the serial loop does."""
+    _cpus(monkeypatch, 0, 1)
+    monkeypatch.setenv(retrieval.THREAD_ENV_VAR, threads)
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x == 3:
+            time.sleep(0.05)
+        if x in (3, 7):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as info:
+        retrieval.parallel_map(fn, list(range(40)))
+    assert info.value.args == (3,)
+    assert set(range(4)) <= set(ran) and len(ran) < 40  # no item taken after a failure
+
+
+def test_parallel_map_runs_on_the_calling_thread_and_one_helper(monkeypatch):
+    _cpus(monkeypatch, 0, 1)
+    monkeypatch.delenv(retrieval.THREAD_ENV_VAR, raising=False)
+    caller = threading.get_ident()
+
+    def fn(x):
+        time.sleep(0.01)
+        return threading.get_ident()
+
+    assert retrieval.parallel_map(fn, [0]) == [caller]  # one item is serial
+    ran_on = set(retrieval.parallel_map(fn, list(range(8))))
+    assert caller in ran_on and len(ran_on) == 2
+    monkeypatch.setenv(retrieval.THREAD_ENV_VAR, "1")
+    assert set(retrieval.parallel_map(fn, list(range(8)))) == {caller}
 
 
 def test_thread_env_cap(monkeypatch):
@@ -272,6 +319,21 @@ def test_thread_env_cap(monkeypatch):
     monkeypatch.setenv(retrieval.THREAD_ENV_VAR, "many")
     with pytest.raises(ContractError):
         retrieval.max_workers()
+
+
+def test_worker_count_follows_the_cpu_affinity_mask(monkeypatch):
+    """Under `taskset -c 0` the process may use one CPU however many the
+    machine has, so the pool starts no helper thread."""
+    monkeypatch.setattr(retrieval.os, "cpu_count", lambda: 8)
+    _cpus(monkeypatch, 0)
+    monkeypatch.delenv(retrieval.THREAD_ENV_VAR, raising=False)
+    assert retrieval.max_workers() == 1
+    monkeypatch.setenv(retrieval.THREAD_ENV_VAR, "2")
+    assert retrieval.max_workers() == 1
+    _cpus(monkeypatch, 0, 2, 5)
+    assert retrieval.max_workers() == 2  # the variable still caps the count
+    monkeypatch.delenv(retrieval.THREAD_ENV_VAR)
+    assert retrieval.max_workers() == 3
 
 
 def test_heatmap_csv_format(tmp_path):

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 from magvlaq import autodiff as ad
-from magvlaq import retrieval, tokens, training
+from magvlaq import retrieval, tokens, training, vlaq
 from magvlaq.errors import (
     ConfigurationError,
     ContractError,
     DegenerateInputError,
+    DimensionError,
     DivergenceError,
 )
 from magvlaq.model import (
@@ -547,15 +548,31 @@ def test_embed_lists_match_individual_forwards_at_the_default_config():
         np.testing.assert_allclose(model.embed_aerial(dataset.aerial), single, rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("n", [1, EMBED_CHUNK, EMBED_CHUNK + 1, 2 * EMBED_CHUNK + 1])
+def _threads(monkeypatch, n: int) -> None:
+    """Cap the pool at n threads on a host that offers two CPUs, so that a
+    map with n = 2 runs a helper thread on any machine."""
+    monkeypatch.setattr(retrieval.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv(retrieval.THREAD_ENV_VAR, str(n))
+
+
+LIST_SIZES = [1, EMBED_CHUNK, EMBED_CHUNK + 1, 2 * EMBED_CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", LIST_SIZES)
 def test_embed_lists_run_one_head_per_chunk(tiny_dataset, monkeypatch, n):
+    """Up to EMBED_CHUNK items run one head on the calling thread; a longer
+    list runs one head per EMBED_CHUNK // 2 items through one parallel_map."""
     m = PlaceModel(MODEL, seed=3)
-    heads = []
-    real_head = PlaceModel.head
+    heads, maps = [], []
+    real_head, real_map = PlaceModel.head, retrieval.parallel_map
 
     def counting_head(self, rows):
         heads.append(sum(len(block.value) for block in rows))
         return real_head(self, rows)
+
+    def counting_map(fn, items):
+        maps.append(len(items))
+        return real_map(fn, items)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("list embedding must not run one forward per item")
@@ -563,14 +580,82 @@ def test_embed_lists_run_one_head_per_chunk(tiny_dataset, monkeypatch, n):
     monkeypatch.setattr(PlaceModel, "head", counting_head)
     monkeypatch.setattr(PlaceModel, "ground_forward", forbidden)
     monkeypatch.setattr(PlaceModel, "aerial_descriptor", forbidden)
-    monkeypatch.setattr(retrieval, "parallel_map", forbidden)
+    monkeypatch.setattr(retrieval, "parallel_map", counting_map)
     obs = (tiny_dataset.ground * n)[:n]
     refs = (tiny_dataset.aerial * n)[:n]
     for embed, items in ((m.embed_ground, obs), (m.embed_aerial, refs)):
         heads.clear()
+        maps.clear()
         assert embed(items).shape == (n, MODEL.out_dim)
-        assert len(heads) == math.ceil(n / EMBED_CHUNK) and sum(heads) == n
+        if n <= EMBED_CHUNK:
+            assert heads == [n] and maps == []
+        else:
+            chunks = math.ceil(n / (EMBED_CHUNK // 2))
+            assert len(heads) == chunks and sum(heads) == n and maps == [chunks]
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", LIST_SIZES)
+def test_embed_lists_are_bit_identical_on_one_and_two_threads(tiny_dataset, monkeypatch,
+                                                              dtype, n):
+    m = PlaceModel(MODEL, seed=3, dtype=dtype)
+    obs = (tiny_dataset.ground * n)[:n]
+    refs = (tiny_dataset.aerial * n)[:n]
+    results = []
+    for threads in (1, 2):
+        _threads(monkeypatch, threads)
+        results.append([m.embed_ground(obs), m.embed_ground(obs, mask="lidar-only"),
+                        m.embed_aerial(refs)])
+    for serial, threaded in zip(*results):
+        assert serial.dtype == dtype and serial.shape == (n, MODEL.out_dim)
+        assert serial.tobytes() == threaded.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_embed_lists_raise_the_first_malformed_item_in_input_order(tiny_dataset, monkeypatch,
+                                                                   threads):
+    """Malformed token matrices in the second and the fourth chunk: the error
+    names the second chunk's item, as the serial loop would."""
+    _threads(monkeypatch, threads)
+    m = PlaceModel(MODEL, seed=3)
+    n = 2 * EMBED_CHUNK + 1
+    obs = (tiny_dataset.ground * n)[:n]
+    refs = (tiny_dataset.aerial * n)[:n]
+    for at in (EMBED_CHUNK // 2 + 3, 3 * EMBED_CHUNK // 2 + 5):
+        image = dataclasses.replace(obs[at].image, scales=[s[:, :-1] for s in obs[at].image.scales])
+        obs[at] = dataclasses.replace(obs[at], id=f"bad-{at}", image=image)
+        token_set = dataclasses.replace(refs[at].token_set,
+                                        scales=[s[:, :-1] for s in refs[at].token_set.scales])
+        refs[at] = dataclasses.replace(refs[at], id=f"bad-{at}", token_set=token_set)
+    first = f"bad-{EMBED_CHUNK // 2 + 3}: token matrix shape"
+    with pytest.raises(DimensionError, match=first):
+        m.embed_ground(obs)
+    with pytest.raises(DimensionError, match=first):
+        m.embed_aerial(refs)
+
+
+def test_a_multi_chunk_embed_records_no_tape_for_a_caller_with_gradients_on(tiny_dataset,
+                                                                           monkeypatch):
+    """The no-grad flag is a ContextVar, which a worker thread does not
+    inherit: each chunk must turn it off itself."""
+    _threads(monkeypatch, 2)
+    m = PlaceModel(MODEL, seed=3)
+    n = 2 * EMBED_CHUNK + 1
+    seen = []
+    real = vlaq.residual_features
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append((ad.grad_enabled(), out._parents))
+        return out
+
+    monkeypatch.setattr(vlaq, "residual_features", recording)
+    assert ad.grad_enabled()
+    m.embed_ground((tiny_dataset.ground * n)[:n])
+    m.embed_aerial((tiny_dataset.aerial * n)[:n])
+    assert len(seen) == 2 * math.ceil(n / (EMBED_CHUNK // 2))
+    assert all(taping is False and parents == () for taping, parents in seen)
+    assert all(p._grad is None for _, p in m.store.items())
 
 
 def test_batch_loss_components_are_finite_and_weighted(tiny_dataset):
