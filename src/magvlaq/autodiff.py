@@ -9,10 +9,12 @@ and take a mean as ``sum / n`` (np.mean's bits). A row-wise kernel gives a
 row the same bits in any block of rows, so a token projection may normalize
 a batch's rows in blocks. The MLP, the layer norm and the row normalization
 are numpy values/backward pairs, so a node that fuses several steps (an RK4
-flow, a view's residual features, a token projection) reuses them. A
-training batch's objective is one numpy node too (``training.objective``),
-so ``add`` of two same-shape matrices is the only elementwise op: nothing
-broadcasts."""
+flow, a view's residual features, a token projection, the descriptor head)
+reuses them. A training batch's distances and objective are one numpy node
+too (``training.objective``), so ``add`` of two same-shape matrices is the
+only elementwise op: nothing broadcasts. Every public function here has a
+caller elsewhere in the package; the composed ops the nodes replaced are
+the tests' oracles."""
 
 from __future__ import annotations
 
@@ -122,37 +124,16 @@ def add(a, b) -> Tensor:
     return Tensor(a.value + b.value, (a, b), bw)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise DimensionError(
-            f"matmul needs 2-D operands, got {a.value.shape} and {b.value.shape}"
-        )
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.value.shape} x {b.value.shape}"
-        )
-    out_value = a.value @ b.value
-
-    def bw(out):
-        g = out.grad
-        a.accumulate_grad(g @ b.value.T)
-        b.accumulate_grad(a.value.T @ g)
-
-    return Tensor(out_value, (a, b), bw)
-
-
-def concat_rows(parts: Sequence, counts: Sequence[Sequence[int]] | None = None) -> Tensor:
+def concat_rows(parts: Sequence, counts: Sequence[Sequence[int]]) -> Tensor:
     """Stack 2-D blocks along the row axis; a single block is returned as is.
 
-    With ``counts``, block k is cut into consecutive segments of counts[k]
-    rows, and segment j of every block comes before segment j+1 of any."""
+    Block k is cut into consecutive segments of counts[k] rows, and segment
+    j of every block comes before segment j+1 of any."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_rows needs at least one block")
     if len(parts) == 1:
         return parts[0]
-    counts = [[len(p.value)] for p in parts] if counts is None else counts
     if (len({len(c) for c in counts}) > 1
             or [sum(c) for c in counts] != [len(p.value) for p in parts]):
         raise DimensionError(f"cannot cut blocks of {[p.value.shape for p in parts]} into {counts}")
@@ -167,21 +148,6 @@ def concat_rows(parts: Sequence, counts: Sequence[Sequence[int]] | None = None) 
             p.accumulate_grad(np.concatenate(g[k :: len(parts)]))
 
     return Tensor(out_value, tuple(parts), bw)
-
-
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """Rows start..stop-1 of a 2-D matrix; the gradient flows back into them."""
-    a = as_tensor(a)
-    if a.value.ndim != 2 or not 0 <= start < stop <= a.value.shape[0]:
-        raise DimensionError(
-            f"cannot take rows {start}:{stop} of a matrix of shape {a.value.shape}"
-        )
-    out_value = a.value[start:stop]
-
-    def bw(out):
-        a.grad[start:stop] += out.grad
-
-    return Tensor(out_value, (a,), bw)
 
 
 def mean_rows(a, counts: Sequence[int] | None = None) -> Tensor:
@@ -283,43 +249,6 @@ def normalize_rows_backward(g: np.ndarray, out64: np.ndarray, safe: np.ndarray,
     g /= safe
     g[dead] = 0.0
     return g
-
-
-def l2_normalize(x) -> Tensor:
-    """Normalize each row of a 2-D matrix to unit Euclidean norm; a row with
-    norm at most 1e-12 raises DegenerateInputError naming the row."""
-    x = as_tensor(x)
-    rows = normalize_rows_values(x.value, strict=True)
-
-    def bw(out):
-        x.accumulate_grad(normalize_rows_backward(out.grad, *rows))
-
-    return Tensor(rows[0].astype(x.value.dtype), (x,), bw)
-
-
-def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
-    """Euclidean distances between the rows of a (n x d) and b (m x d).
-
-    Entry (i, j) is sqrt(sum_k (a[i, k] - b[j, k])^2 + eps), taken from the
-    explicit differences and summed in float64; ``eps`` keeps the gradient
-    finite where two rows coincide.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-        raise DimensionError(
-            f"pairwise_distance needs n x d and m x d rows, got {a.value.shape} "
-            f"and {b.value.shape}"
-        )
-    diff = a.value.astype(np.float64)[:, None, :] - b.value.astype(np.float64)[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + eps)
-    out_value = dist.astype(a.value.dtype)
-
-    def bw(out):
-        w = out.grad.astype(np.float64) / dist
-        a.accumulate_grad(np.einsum("ij,ijk->ik", w, diff))
-        b.accumulate_grad(-np.einsum("ij,ijk->jk", w, diff))
-
-    return Tensor(out_value, (a, b), bw)
 
 
 def check_mlp(x: np.ndarray, weights: Sequence, activation: str) -> int:

@@ -194,19 +194,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not queries:
         raise DatasetValidationError(f"no ground observations in split {args.split!r}")
 
+    if args.heatmap:  # fails before any embedding or output
+        target = args.query or queries[0].id
+        by_id = {obs.id: obs for obs in dataset.ground}
+        if target not in by_id:
+            raise DatasetValidationError(f"unknown query id {target!r} for heatmap")
+        alpha = model.assignment_heatmap(by_id[target], mask=args.modality_mask)
+
     report = training.recall_report(model, queries, dataset.aerial, ks,
                                     run_config.eval_radius, args.modality_mask)
     line = report.to_json()
     print(line)
     if args.out:
         Path(args.out).write_text(line + "\n")
-
     if args.heatmap:
-        target = args.query or queries[0].id
-        by_id = {obs.id: obs for obs in dataset.ground}
-        if target not in by_id:
-            raise DatasetValidationError(f"unknown query id {target!r} for heatmap")
-        alpha = model.assignment_heatmap(by_id[target], mask=args.modality_mask)
         retrieval.dump_assignment_heatmap(alpha, args.heatmap)
         print(f"wrote heatmap for {target} to {args.heatmap}")
     return 0

@@ -285,11 +285,10 @@ class PlaceModel:
                                       self.config.alpha)
 
     def head(self, rows: Sequence[ad.Tensor]) -> ad.Tensor:
-        """Unit descriptors of blocks of pre-head rows, one per row in order:
-        every row goes through one projection matmul and one row-wise L2 norm,
-        which raises DegenerateInputError on a row that projects to zero."""
+        """Unit descriptors of blocks of pre-head rows, one per row in order,
+        as one ``vlaq.head`` node over the aggregator's projection."""
         proj = self.pool_proj if self.config.aggregator == "pooling" else self.agg_proj
-        return ad.l2_normalize(ad.matmul(ad.concat_rows(rows), proj))
+        return vlaq.head(rows, proj)
 
     def ground_rows(self, batch: GroundBatch, mask: str = "both",
                     conditioned: bool | None = None

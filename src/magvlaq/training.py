@@ -172,29 +172,39 @@ def aux_consistency_loss(distances: np.ndarray,
     return mean, sign * (hinge > 0) * inverse_count
 
 
-def objective(distances: ad.Tensor, positives: Sequence[int], negatives: Sequence[int],
+def objective(descriptors: ad.Tensor, positives: Sequence[int], negatives: Sequence[int],
               ground_geos: Sequence[tuple[float, float]],
               reference_geos: Sequence[tuple[float, float]],
               shifts: ad.Tensor | None, settings: TrainSettings
               ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
     """The batch objective as one tape node: (l_tri, l_aux, l_q, total).
 
-    ``distances`` is ground descriptors x references, placed by
-    ``ground_geos`` and ``reference_geos`` for the consistency loss; its first
-    ``len(positives)`` rows are the anchors' fused descriptors for the
-    triplet loss. l_q is the mean over the anchors of the squared norm of
-    their prototype shifts, one row of ``shifts`` each, and zero if
-    ``shifts`` is None (static or pooling aggregation). The first three parts
-    are values; ``total`` is the node, whose parents are ``distances`` and
-    ``shifts`` unless it is None. Every part takes the dtype of ``distances``.
+    ``descriptors`` has a row per entry of ``ground_geos``, then one per
+    entry of ``reference_geos`` (another count raises ContractError). Their
+    ground x reference distances are sqrt(sum of squared differences + 1e-12)
+    in float64; the floor keeps the gradient finite where two rows coincide.
+    The first ``len(positives)`` ground rows are the anchors' fused
+    descriptors for the triplet loss. l_q is the mean over the anchors of the
+    squared norm of their rows of ``shifts``, zero if it is None (static or
+    pooling aggregation). The first three parts are values; ``total`` is the
+    node, whose parents are ``descriptors`` and ``shifts`` unless it is None.
+    Every part takes the dtype of ``descriptors``.
     """
-    d = distances.value
+    x, n = descriptors.value, len(ground_geos)
+    if x.ndim != 2 or len(x) != n + len(reference_geos):
+        raise ContractError(
+            f"descriptors {x.shape} do not match {n} ground and "
+            f"{len(reference_geos)} reference geos"
+        )
+    diff = x[:n].astype(np.float64)[:, None, :] - x[n:].astype(np.float64)[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + 1e-12)
+    d = dist.astype(x.dtype)
     l_tri, g_tri = triplet_loss(d[: len(positives)], positives, negatives, settings.margin)
     l_aux, g_aux = aux_consistency_loss(d, ground_geos, reference_geos,
                                         settings.thresholds, settings.margin)
-    l_q = np.zeros((1, 1), d.dtype)
+    l_q = np.zeros((1, 1), x.dtype)
     for row in () if shifts is None else shifts.value:
-        l_q = l_q + np.array([[np.square(row).sum(dtype=np.float64)]], d.dtype)
+        l_q = l_q + np.array([[np.square(row).sum(dtype=np.float64)]], x.dtype)
     l_q = l_q * (1.0 / len(positives))
     w = settings.weights
     total = (l_tri * w.triplet + l_aux * w.aux) + l_q * w.shift
@@ -203,11 +213,15 @@ def objective(distances: ad.Tensor, positives: Sequence[int], negatives: Sequenc
         g = out.grad
         grad = g_aux * (g * w.aux)
         grad[: len(positives)] += g_tri * (g * w.triplet)
-        distances.accumulate_grad(grad)
+        grad = grad.astype(np.float64) / dist
+        g_x = np.zeros_like(x)
+        g_x[:n] += np.einsum("ij,ijk->ik", grad, diff).astype(x.dtype)
+        g_x[n:] += (-np.einsum("ij,ijk->jk", grad, diff)).astype(x.dtype)
+        descriptors.accumulate_grad(g_x)
         if shifts is not None:
             shifts.accumulate_grad(2 * shifts.value * (g * w.shift * (1.0 / len(positives))))
 
-    parents = (distances,) if shifts is None else (distances, shifts)
+    parents = (descriptors,) if shifts is None else (descriptors, shifts)
     return ad.Tensor(l_tri), ad.Tensor(l_aux), ad.Tensor(l_q), ad.Tensor(total, parents, bw)
 
 
@@ -283,9 +297,9 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     aerial references mined for them, aligned by position. The union of the
     mined references also serves as the in-batch set for the consistency
     loss. The fused, image-only and lidar-only rows of every anchor and the
-    rows of every reference go through one projection head, and the
-    objective node reads one ground x reference distance matrix and the
-    anchors' shifts; ``total`` is the tape's root.
+    rows of every reference go through one head node, and the objective node
+    reads its descriptors and the anchors' shifts; ``total`` is the tape's
+    root.
     """
     refs = sorted({ref.id: ref for ref in [*positives, *negatives]}.items())
     column = {rid: j for j, (rid, _) in enumerate(refs)}
@@ -294,15 +308,9 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     fused, shifts = model.ground_rows(batch)
     image, _ = model.ground_rows(batch, mask="image-only", conditioned=False)
     lidar, _ = model.ground_rows(batch, mask="lidar-only", conditioned=False)
-    ground_count = 3 * len(anchors)
     descriptors = model.head([fused, image, lidar, model.aerial_rows([ref for _, ref in refs])])
-    distances = ad.pairwise_distance(
-        ad.slice_rows(descriptors, 0, ground_count),
-        ad.slice_rows(descriptors, ground_count, ground_count + len(refs)),
-    )
-
     return objective(
-        distances,
+        descriptors,
         [column[ref.id] for ref in positives],
         [column[ref.id] for ref in negatives],
         [obs.geo for obs in anchors] * 3,

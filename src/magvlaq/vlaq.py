@@ -8,6 +8,7 @@ the flattened result to a fixed-size L2-normalized descriptor.
 Assignment and aggregation are numpy functions of arrays. ``residual_features``
 runs them and the intra-norm over stacked token sets as one autodiff node, with
 a hand-written reverse sweep for the tokens, the bank and its per-set shifts.
+``head`` projects and L2-normalizes blocks of pre-head rows as one node.
 """
 
 from __future__ import annotations
@@ -110,18 +111,36 @@ def residual_features(tokens: ad.Tensor, counts: Sequence[int], prototypes: ad.T
     return ad.Tensor(out, (tokens, prototypes, *([] if shifts is None else [shifts])), bw)
 
 
+def head(blocks: Sequence[ad.Tensor], proj_w: ad.Tensor) -> ad.Tensor:
+    """Unit descriptors of blocks of pre-head rows as one node, a row per
+    pre-head row in block order: the stacked rows (a single block as it is,
+    not copied) times the bias-free projection ``proj_w``, then a row-wise L2
+    norm that raises DegenerateInputError naming a row that projects to zero.
+    The reverse sweep hands each block its rows of the input gradient."""
+    w = proj_w.value
+    if not blocks or any(b.value.ndim != 2 or b.value.shape[1] != len(w) for b in blocks):
+        raise DimensionError(f"projection expects {len(w)} inputs, got blocks of "
+                             f"{[b.value.shape for b in blocks]}")
+    x = blocks[0].value if len(blocks) == 1 else np.concatenate([b.value for b in blocks])
+    projected = x @ w
+    rows = ad.normalize_rows_values(projected, strict=True)
+
+    def bw(node):
+        g = ad.normalize_rows_backward(node.grad, *rows).astype(projected.dtype)
+        g_x = g @ w.T
+        proj_w.accumulate_grad(x.T @ g)
+        for block, stop in zip(blocks, itertools.accumulate(len(b.value) for b in blocks)):
+            block.accumulate_grad(g_x[stop - len(block.value) : stop])
+
+    return ad.Tensor(rows[0].astype(projected.dtype), (*blocks, proj_w), bw)
+
+
 def vlaq_descriptor(tokens: ad.Tensor, prototypes: ad.Tensor,
                     proj_w: ad.Tensor) -> ad.Tensor:
     """Full aggregation: tokens (N x D) -> unit descriptor (1 x out_dim).
 
-    The residual features of the tokens, then a bias-free projection and a
-    global L2 norm. Raises DegenerateInputError if the projected descriptor
-    is all zeros.
+    The residual features of the tokens, then the head: a bias-free
+    projection and a global L2 norm. Raises DegenerateInputError if the
+    projected descriptor is all zeros.
     """
-    s, d = prototypes.value.shape
-    if proj_w.value.shape[0] != s * d:
-        raise DimensionError(
-            f"projection expects {s * d} inputs, got {proj_w.value.shape[0]}"
-        )
-    return ad.l2_normalize(ad.matmul(residual_features(tokens, [len(tokens.value)], prototypes),
-                                     proj_w))
+    return head([residual_features(tokens, [len(tokens.value)], prototypes)], proj_w)

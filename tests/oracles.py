@@ -217,8 +217,93 @@ def sum_all(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
+# The generic ops the head and objective nodes replaced. vlaq.head must
+# match l2_normalize(matmul(stacked rows, W)) bit for bit in its value, and
+# training.objective the composed ``objective`` below, whose distances are
+# pairwise_distance of two slice_rows of the descriptors.
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise DimensionError(
+            f"matmul needs 2-D operands, got {a.value.shape} and {b.value.shape}"
+        )
+    if a.value.shape[1] != b.value.shape[0]:
+        raise DimensionError(
+            f"matmul shape mismatch: {a.value.shape} x {b.value.shape}"
+        )
+    out_value = a.value @ b.value
+
+    def bw(out):
+        g = out.grad
+        a.accumulate_grad(g @ b.value.T)
+        b.accumulate_grad(a.value.T @ g)
+
+    return Tensor(out_value, (a, b), bw)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 of a 2-D matrix; the gradient flows back into them."""
+    a = as_tensor(a)
+    if a.value.ndim != 2 or not 0 <= start < stop <= a.value.shape[0]:
+        raise DimensionError(
+            f"cannot take rows {start}:{stop} of a matrix of shape {a.value.shape}"
+        )
+    out_value = a.value[start:stop]
+
+    def bw(out):
+        a.grad[start:stop] += out.grad
+
+    return Tensor(out_value, (a,), bw)
+
+
+def l2_normalize(x) -> Tensor:
+    """Normalize each row of a 2-D matrix to unit Euclidean norm with the
+    package's row-norm kernel pair; a row with norm at most 1e-12 raises
+    DegenerateInputError naming the row."""
+    x = as_tensor(x)
+    rows = ad.normalize_rows_values(x.value, strict=True)
+
+    def bw(out):
+        x.accumulate_grad(ad.normalize_rows_backward(out.grad, *rows))
+
+    return Tensor(rows[0].astype(x.value.dtype), (x,), bw)
+
+
+def pairwise_distance(a, b, eps: float = 1e-12) -> Tensor:
+    """Euclidean distances between the rows of a (n x d) and b (m x d).
+
+    Entry (i, j) is sqrt(sum_k (a[i, k] - b[j, k])^2 + eps), taken from the
+    explicit differences and summed in float64; ``eps`` keeps the gradient
+    finite where two rows coincide.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+        raise DimensionError(
+            f"pairwise_distance needs n x d and m x d rows, got {a.value.shape} "
+            f"and {b.value.shape}"
+        )
+    diff = a.value.astype(np.float64)[:, None, :] - b.value.astype(np.float64)[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + eps)
+    out_value = dist.astype(a.value.dtype)
+
+    def bw(out):
+        w = out.grad.astype(np.float64) / dist
+        a.accumulate_grad(np.einsum("ij,ijk->ik", w, diff))
+        b.accumulate_grad(-np.einsum("ij,ijk->jk", w, diff))
+
+    return Tensor(out_value, (a, b), bw)
+
+
+def head(blocks: Sequence[Tensor], proj_w: Tensor) -> Tensor:
+    """vlaq.head as the three nodes it replaced: stack, project, normalize."""
+    stacked = ad.concat_rows(blocks, [[len(b.value)] for b in blocks])
+    return l2_normalize(matmul(stacked, proj_w))
+
+
 # The float64 kernels as they ran with a fresh array per intermediate:
-# autodiff.layer_norm and the row normalization behind l2_normalize and the
+# autodiff.layer_norm and the row normalization behind the head and the
 # intra-norm must match them bit for bit, values and every input gradient,
 # and so must the float64 column softmax of vlaq.assignment_weights.
 
@@ -337,16 +422,16 @@ def assignment_weights(tokens: Tensor, prototypes: Tensor) -> Tensor:
         raise DimensionError(
             f"token dim {n_dim} does not match prototype dim {s_dim}"
         )
-    logits = scale(ad.matmul(tokens, transpose(prototypes)), 1.0 / math.sqrt(n_dim))
+    logits = scale(matmul(tokens, transpose(prototypes)), 1.0 / math.sqrt(n_dim))
     return softmax_columns(logits)
 
 
 def residual_aggregate(tokens: Tensor, prototypes: Tensor, alpha: Tensor) -> Tensor:
     """Aggregate v_s = sum_n alpha[n, s] * (x_n - c_s), one row per query."""
     n = tokens.value.shape[0]
-    weighted = ad.matmul(transpose(alpha), tokens)
+    weighted = matmul(transpose(alpha), tokens)
     ones = constant(np.ones((1, n), dtype=tokens.value.dtype))
-    col_mass = transpose(ad.matmul(ones, alpha))
+    col_mass = transpose(matmul(ones, alpha))
     return sub(weighted, mul(prototypes, col_mass))
 
 
@@ -370,10 +455,10 @@ def stacked_residual_features(tokens: Tensor, counts: Sequence[int], prototypes:
     rows, start = [], 0
     for i, n in enumerate(counts):
         bank = prototypes if shifts is None else \
-            shifted_bank(prototypes, ad.slice_rows(shifts, i, i + 1), alpha)
-        rows.append(residual_features(ad.slice_rows(tokens, start, start + n), bank))
+            shifted_bank(prototypes, slice_rows(shifts, i, i + 1), alpha)
+        rows.append(residual_features(slice_rows(tokens, start, start + n), bank))
         start += n
-    return ad.concat_rows(rows)
+    return ad.concat_rows(rows, [[1]] * len(rows))
 
 
 # The MLP and the ops it was composed of before it became one node:
@@ -423,7 +508,7 @@ def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
                 f"layer {i}: input width {h.value.shape[1]} does not chain with "
                 f"weight shape {w.value.shape}"
             )
-        h = add(ad.matmul(h, w), b)
+        h = add(matmul(h, w), b)
         if i < n_layers - 1:
             h = act(h)
     return h
@@ -593,7 +678,7 @@ def matrix_triplet_loss(distances: Tensor, positives: Sequence[int],
     sign[np.arange(rows), positives] = 1.0
     sign[np.arange(rows), negatives] = -1.0
     ones = constant(np.ones((sign.shape[1], 1), dtype=dtype))
-    gap = ad.matmul(mul(distances, constant(sign)), ones)
+    gap = matmul(mul(distances, constant(sign)), ones)
     hinge = relu(add(gap, constant(np.full((1, 1), margin, dtype=dtype))))
     return ad.mean_rows(hinge)
 
@@ -636,15 +721,18 @@ def total_loss(l_tri: Tensor, l_aux: Tensor, l_q: Tensor,
     )
 
 
-def objective(distances: Tensor, positives: Sequence[int], negatives: Sequence[int],
+def objective(descriptors: Tensor, positives: Sequence[int], negatives: Sequence[int],
               ground_geos: Sequence[tuple[float, float]],
               reference_geos: Sequence[tuple[float, float]],
               shifts: Tensor | None, settings: training.TrainSettings
               ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """(l_tri, l_aux, l_q, total) with training.objective's arguments."""
-    deltas = [None if shifts is None else ad.slice_rows(shifts, i, i + 1)
+    n = len(ground_geos)
+    distances = pairwise_distance(slice_rows(descriptors, 0, n),
+                                  slice_rows(descriptors, n, len(descriptors.value)))
+    deltas = [None if shifts is None else slice_rows(shifts, i, i + 1)
               for i in range(len(positives))]
-    l_tri = matrix_triplet_loss(ad.slice_rows(distances, 0, len(positives)),
+    l_tri = matrix_triplet_loss(slice_rows(distances, 0, len(positives)),
                                 positives, negatives, settings.margin)
     l_aux = matrix_aux_consistency_loss(distances, ground_geos, reference_geos,
                                         settings.thresholds, settings.margin)

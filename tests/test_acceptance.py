@@ -24,7 +24,14 @@ from magvlaq.config import RunConfig
 from magvlaq.model import GroundBatch, ModelConfig, PlaceModel
 from magvlaq.tokens import SynthConfig
 from magvlaq.training import MiningThresholds, TrainSettings
-from oracles import brute_force_vlaq, constant, finite_difference_grad, layer_norm, mlp_forward
+from oracles import (
+    brute_force_vlaq,
+    constant,
+    finite_difference_grad,
+    layer_norm,
+    matmul,
+    mlp_forward,
+)
 
 ARTIFACTS: dict[str, dict] = {}
 VERDICTS: list[str] = []
@@ -233,7 +240,7 @@ def test_zero_dynamics_reduce_fusion_to_message_sum():
                     for modality in ("image", "lidar"):
                         ts = obs.image if modality == "image" else obs.lidar
                         pooled = ad.mean_rows(layer_norm(
-                            ad.matmul(constant(ts.scales[idx]), model.proj[modality]),
+                            matmul(constant(ts.scales[idx]), model.proj[modality]),
                             *model.ln[modality],
                         ))
                         expected += mlp_forward(

@@ -324,6 +324,31 @@ def test_eval_report_masks_and_heatmap(tiny_config_path, trained, tmp_path, caps
         assert set(masked["recalls"]) == {"1", "5", "10"}
 
 
+def test_eval_with_an_unknown_heatmap_query_exits_3_before_any_output(trained, tmp_path,
+                                                                      capsys):
+    report_path = tmp_path / "report.json"
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   "--out", str(report_path), "--heatmap", str(tmp_path / "heat.csv"),
+                   "--query", "nowhere"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == "" and "unknown query id 'nowhere'" in captured.err
+    assert not report_path.exists() and not (tmp_path / "heat.csv").exists()
+
+
+def test_eval_heatmap_of_a_pooling_checkpoint_exits_2_before_any_output(tmp_path, capsys):
+    cfg = config.config_from_mapping({**TINY, "aggregator": "pooling"})
+    ckpt = tmp_path / "pooling.magt"
+    cli.save_checkpoint(PlaceModel(cfg.model_config(), seed=cfg.seed), cfg, ckpt)
+    report_path = tmp_path / "report.json"
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--out", str(report_path),
+                   "--heatmap", str(tmp_path / "heat.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "no assignment matrix" in captured.err
+    assert not report_path.exists() and not (tmp_path / "heat.csv").exists()
+
+
 def test_eval_accepts_external_dataset_file(tiny_config_path, trained,
                                             tmp_path, capsys):
     data = tmp_path / "tiny.magt"

@@ -272,7 +272,7 @@ def test_pooling_descriptor_is_mean_projection():
         toks = np.concatenate(
             [
                 oracles.layer_norm(
-                    ad.matmul(oracles.constant(getattr(obs, modality).scales[-1]),
+                    oracles.matmul(oracles.constant(getattr(obs, modality).scales[-1]),
                               m.proj[modality]),
                     *m.ln[modality],
                 ).value

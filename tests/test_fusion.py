@@ -18,6 +18,7 @@ from oracles import (
     constant,
     finite_difference_grad,
     layer_norm,
+    matmul,
     mlp_forward,
     mul,
     rk4_unrolled,
@@ -236,7 +237,7 @@ def test_fusion_embedding_at_init_sums_modality_messages():
             want = sum(
                 mlp_forward(
                     ad.mean_rows(layer_norm(
-                        ad.matmul(constant(getattr(obs, modality).scales[idx]),
+                        matmul(constant(getattr(obs, modality).scales[idx]),
                                   model.proj[modality]),
                         *model.ln[modality],
                     )),

@@ -41,7 +41,7 @@ def _token_mats(batch: int, ragged: bool, seed: int) -> list[np.ndarray]:
 
 
 def _oracle(model: PlaceModel, x: np.ndarray, modality: str) -> ad.Tensor:
-    projected = ad.matmul(oracles.constant(np.asarray(x, dtype=model.dtype)), model.proj[modality])
+    projected = oracles.matmul(oracles.constant(np.asarray(x, dtype=model.dtype)), model.proj[modality])
     if modality == "aerial":
         return projected
     return oracles.layer_norm(projected, *model.ln[modality])
@@ -98,7 +98,8 @@ def test_projection_gradients_match_the_composed_oracle(modality, stack):
     grads = []
     for build in (
         lambda: model.project_tokens(mats, modality, ["o"] * len(mats)),
-        lambda: ad.concat_rows([_oracle(model, x, modality) for x in mats]),
+        lambda: ad.concat_rows([_oracle(model, x, modality) for x in mats],
+                               [[len(x)] for x in mats]),
     ):
         model.store.zero_grads()
         ad.backward(oracles.sum_all(oracles.mul(build(), oracles.constant(upstream))))

@@ -92,7 +92,8 @@ def _unit_rows(rng, n, d=6):
 
 
 def _distances(ground, refs):
-    return ad.pairwise_distance(ad.Tensor(np.asarray(ground)), ad.Tensor(np.asarray(refs))).value
+    return oracles.pairwise_distance(ad.Tensor(np.asarray(ground)),
+                                     ad.Tensor(np.asarray(refs))).value
 
 
 def test_triplet_loss_matches_numpy_oracle():
@@ -160,11 +161,15 @@ def test_aux_consistency_band_only_pairs_contribute_nothing():
 
 def _objective(shifts, weights=training.LossWeights()):
     """The objective node on two anchors, one positive and one negative
-    reference each, the anchors' other views in the band."""
-    distances = ad.Tensor(np.array([[0.5, 0.25], [1.0, 0.25]] + [[0.5, 0.5]] * 4))
+    reference each, the anchors' other views in the band. The references sit
+    at (0, 0) and (0.75, 0), so the ground rows are at distances (0.5, 0.25),
+    (1, 0.25) and, four times, (0.5, 0.5) from them (up to the 1e-12 floor)."""
+    band = [0.375, np.sqrt(0.25 - 0.375**2)]
+    descriptors = ad.Tensor(np.array([[0.5, 0.0], [1.0, 0.0]] + [band] * 4
+                                     + [[0.0, 0.0], [0.75, 0.0]]))
     ground_geos = [(0.0, 0.0), (40.0, 0.0)] + [(20.0, 15.0)] * 4
     settings = training.TrainSettings(weights=weights)
-    return training.objective(distances, [0, 1], [1, 0], ground_geos,
+    return training.objective(descriptors, [0, 1], [1, 0], ground_geos,
                               [(0.0, 0.0), (40.0, 0.0)], shifts, settings)
 
 
@@ -172,9 +177,11 @@ def test_query_shift_regularizer_counts_zero_shifts_in_denominator():
     shifts = ad.Tensor(np.array([[2.0] * 4, [0.0] * 4]))  # squared norms 16 and 0
     assert abs(_objective(shifts)[2].item() - 8.0) < 1e-6
     assert _objective(None)[2].item() == 0.0
-    with pytest.raises(ContractError, match="at least one"):
-        training.objective(ad.Tensor(np.ones((0, 2))), [], [], [], [(0.0, 0.0), (40.0, 0.0)],
-                           None, training.TrainSettings())
+    # no ground row at all, and one descriptor row more than the geos place
+    for rows, message in ((2, "at least one"), (3, r"\(3, 2\) do not match 0 ground and 2")):
+        with pytest.raises(ContractError, match=message):
+            training.objective(ad.Tensor(np.ones((rows, 2))), [], [], [],
+                               [(0.0, 0.0), (40.0, 0.0)], None, training.TrainSettings())
 
 
 def test_total_loss_weighting():
@@ -182,17 +189,18 @@ def test_total_loss_weighting():
     l_tri, l_aux, l_q, total = _objective(ad.Tensor(np.array([[0.5] * 4, [0.0] * 4])), w)
     # hinges 0.35 and 0 on the triplets, 0.4, 0, 0, 0.15 on the zoned pairs
     np.testing.assert_allclose([l_tri.item(), l_aux.item(), l_q.item()], [0.175, 0.1375, 0.5])
-    assert abs(total.item() - (2.0 * 0.175 + 3.0 * 0.1375 + 0.5 * 0.5)) < 1e-12
+    assert abs(total.item() - (2.0 * l_tri.item() + 3.0 * l_aux.item() + 0.5 * l_q.item())) \
+        < 1e-12
 
 
 def _objective_case(seed, dtype, case):
-    """Random objective inputs: distances of 3 views per anchor, zones from
-    random geos, and a shift row per anchor of which some are zero (or, for
-    "no-shift", None for all). For "no-aux-pair" every ground row sits in
-    every reference's band."""
+    """Random objective inputs: unit descriptor rows of 3 views per anchor
+    and then of the references, zones from random geos, and a shift row per
+    anchor of which some are zero (or, for "no-shift", None for all). For
+    "no-aux-pair" every ground row sits in every reference's band."""
     rng = np.random.default_rng([seed, len(case)])
     anchors, refs = int(rng.integers(1, 7)), int(rng.integers(2, 8))
-    distances = rng.uniform(0.05, 2.0, (3 * anchors, refs)).astype(dtype)
+    descriptors = _unit_rows(rng, 3 * anchors + refs).astype(dtype)
     positives = rng.integers(refs, size=anchors)
     negatives = (positives + rng.integers(1, refs, size=anchors)) % refs
     if case == "no-aux-pair":
@@ -206,22 +214,22 @@ def _objective_case(seed, dtype, case):
     ])
     settings = training.TrainSettings(
         margin=0.3, weights=training.LossWeights(triplet=1.3, aux=0.7, shift=0.05))
-    return distances, positives.tolist(), negatives.tolist(), ground_geos, \
+    return descriptors, positives.tolist(), negatives.tolist(), ground_geos, \
         reference_geos, shifts, settings
 
 
 @pytest.mark.parametrize("case", ["mixed", "no-aux-pair", "no-shift"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_objective_node_matches_the_composed_oracle(dtype, case):
-    """The four values bit for bit; the distance and shift gradients up to
+    """The four values bit for bit; the descriptor and shift gradients up to
     summation order."""
     tol = 1e-12 if dtype == np.float64 else 1e-6
     for seed in range(6):
-        distances, pos, neg, ground_geos, reference_geos, shifts, settings = \
+        descriptors, pos, neg, ground_geos, reference_geos, shifts, settings = \
             _objective_case(seed, dtype, case)
         results = []
         for objective in (training.objective, oracles.objective):
-            leaves = [ad.Tensor(distances.copy())]
+            leaves = [ad.Tensor(descriptors.copy())]
             if shifts is not None:
                 leaves.append(ad.Tensor(shifts.copy()))
             parts = objective(leaves[0], pos, neg, ground_geos, reference_geos,
@@ -788,46 +796,65 @@ def test_each_views_residual_features_is_one_node(tiny_dataset):
 
 @pytest.mark.parametrize("aggregator", ["ode-vlaq", "static-vlaq"])
 def test_the_batch_objective_is_one_node(tiny_dataset, monkeypatch, aggregator):
-    """The total's parents are the distance matrix and, if the fused view is
-    conditioned, the anchors' shifts; the other three parts are values off
-    the tape."""
+    """The total's parents are the head's descriptors (the anchors' three
+    views, then the references) and, if the fused view is conditioned, the
+    anchors' shifts; the other three parts are values off the tape."""
     model = PlaceModel(dataclasses.replace(MODEL, aggregator=aggregator), seed=3)
     calls = []
     real = training.objective
 
-    def recorded(distances, *args):
-        calls.append((distances, args[4]))
-        return real(distances, *args)
+    def recorded(descriptors, *args):
+        calls.append((descriptors, args[4]))
+        return real(descriptors, *args)
 
     monkeypatch.setattr(training, "objective", recorded)
     anchors, positives, negatives = _oracle_batches(tiny_dataset)[1]
     parts = training.batch_loss(model, anchors, positives, negatives, SETTINGS)
-    (distances, shifts), = calls
+    (descriptors, shifts), = calls
     live = [] if shifts is None else [shifts]
     assert len(live) == (aggregator == "ode-vlaq")
     assert all(s.shape == (len(anchors), model.prototypes.value.size) for s in live)
-    assert distances.value.shape == (3 * len(anchors), 2)
-    assert parts[3]._parents == (distances, *live)
+    assert descriptors.value.shape == (3 * len(anchors) + 2, MODEL.out_dim)
+    assert len(descriptors._parents) == 5 and descriptors._parents[-1] is model.agg_proj
+    assert parts[3]._parents == (descriptors, *live)
     assert all(p._parents == () and p._backward is None for p in parts[:3])
 
 
-@pytest.mark.parametrize("aggregator,bound",
-                         [("ode-vlaq", 60), ("static-vlaq", 20), ("pooling", 20)])
-def test_default_training_batch_tape_stays_small(aggregator, bound):
-    """A default-config batch of 16 anchors: one aggregation node per view,
-    one projection node per (modality, scale) and one objective node keep
-    the nodes with a backward at or under 60 for ode-vlaq (it runs the
-    fusion cascade and the conditioner) and 20 for the others."""
+def _default_batch_total(aggregator: str) -> ad.Tensor:
+    """The total of a default-config training batch of 16 anchors."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = PlaceModel(ModelConfig(aggregator=aggregator), seed=0)
     settings = training.TrainSettings()
     geos = [ref.geo for ref in dataset.aerial]
     anchors = dataset.split_ground("train")[: settings.batch_size]
     mined = [training.mine_pairs(obs.geo, geos, settings.thresholds) for obs in anchors]
-    total = training.batch_loss(
+    assert len(anchors) == 16
+    return training.batch_loss(
         model, anchors, [dataset.aerial[pos[0]] for pos, _ in mined],
         [dataset.aerial[neg[0]] for _, neg in mined], settings,
     )[3]
-    assert len(anchors) == 16
-    swept = sum(node._backward is not None for node in _tape(total))
+
+
+@pytest.mark.parametrize("aggregator,bound",
+                         [("ode-vlaq", 44), ("static-vlaq", 10), ("pooling", 10)])
+def test_default_training_batch_tape_stays_small(aggregator, bound):
+    """A default-config batch of 16 anchors: one aggregation node per view,
+    one projection node per (modality, scale), one head node and one
+    objective node keep the nodes with a backward at or under 44 for
+    ode-vlaq (it runs the fusion cascade and the conditioner) and 10 for
+    the others."""
+    swept = sum(node._backward is not None for node in _tape(_default_batch_total(aggregator)))
     assert swept <= bound, swept
+
+
+def test_no_two_gradients_of_a_default_training_batch_share_memory():
+    """Each node and parameter owns its gradient, though the head hands its
+    blocks rows of one array: a sweep may pass a fresh array on only if no
+    other node holds it."""
+    total = _default_batch_total("ode-vlaq")
+    ad.backward(total)
+    grads = [node._grad for node in _tape(total) if node._grad is not None]
+    assert len(grads) > 40
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)

@@ -7,6 +7,8 @@ by ``oracles.stacked_residual_features``) is its reference.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,50 @@ def test_dimension_mismatches_and_empty_token_sets_raise():
             ad.Tensor(np.ones((2, 4))),
             ad.Tensor(np.ones((9, 6))),
         )
+    for blocks in ([], [np.ones((2, 8)), np.ones((1, 7))], [np.ones(8)]):
+        with pytest.raises(DimensionError, match="projection expects 8 inputs"):
+            vlaq.head([ad.Tensor(b) for b in blocks], ad.Tensor(np.ones((8, 3))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sizes", [[1], [6], [3, 1, 4, 2]],
+                         ids=["one-row", "one-block", "four-blocks"])
+def test_head_node_matches_the_composed_oracle(sizes, dtype):
+    """Stack, project and normalize as one node: its rows and every block's
+    and the projection's gradient equal the composed ops' bit for bit."""
+    rng = np.random.default_rng(len(sizes))
+    arrays = [rng.standard_normal((n, 12)).astype(dtype) for n in sizes]
+    arrays.append(rng.standard_normal((12, 5)).astype(dtype))
+    upstream = rng.standard_normal((sum(sizes), 5)).astype(dtype)
+    results = []
+    for head in (vlaq.head, oracles.head):
+        leaves = [ad.Tensor(a.copy()) for a in arrays]
+        out = head(leaves[:-1], leaves[-1])
+        if head is vlaq.head:
+            assert out._parents == tuple(leaves)
+        ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
+        results.append([out.value, *(leaf.grad for leaf in leaves)])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_head_reads_a_single_block_in_place():
+    """An embedding chunk is one 32 x 8192 block: without a tape the head
+    allocates its output and row-norm scratch, never a copy of the block."""
+    rng = np.random.default_rng(11)
+    block = ad.Tensor(rng.standard_normal((32, 8192)).astype(np.float32))
+    proj = ad.Tensor(rng.standard_normal((8192, 512)).astype(np.float32))
+    with ad.no_grad():
+        vlaq.head([block], proj)
+        tracemalloc.start()
+        try:
+            out = vlaq.head([block], proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (32, 512) and out._parents == ()
+    assert peak < block.value.nbytes // 2, peak
 
 
 def test_gradients_match_finite_differences():
