@@ -2,19 +2,18 @@
 
 Every differentiable operation builds a node in a dynamic graph that is
 rebuilt on each forward pass. Values are float32 by default (float64 graphs
-are supported and used by the gradient-check oracles); reductions such as
-norms accumulate in float64 regardless of the graph dtype: the kernels work
-in place on one float64 copy of their input plus at most one scratch buffer,
-and take a mean as ``sum / n`` (np.mean's bits). A row-wise kernel gives a
-row the same bits in any block of rows, so a token projection may normalize
-a batch's rows in blocks. The MLP, the layer norm and the row normalization
-are numpy values/backward pairs, so a node that fuses several steps (an RK4
-flow, a view's residual features, a token projection, the descriptor head)
-reuses them. A training batch's distances and objective are one numpy node
-too (``training.objective``), so ``add`` of two same-shape matrices is the
-only elementwise op: nothing broadcasts. Every public function here has a
-caller elsewhere in the package; the composed ops the nodes replaced are
-the tests' oracles."""
+are supported and used by the gradient-check oracles). The layer norm works
+elementwise in its input's dtype and keeps its state in it, but takes every
+row or column sum with ``dtype=np.float64`` (a mean as ``sum / n``); the row
+normalization works on one float64 copy. A row-wise kernel gives a row the
+same bits in any block of rows, so a token projection normalizes and sweeps
+back a batch's rows in blocks. The MLP, the layer norm and the row
+normalization are numpy values/backward pairs, reused by the nodes that fuse
+several steps; ``add`` of two same-shape matrices is the only elementwise op.
+A node owns its gradient: the first one is copied unless the sweep made it
+for that node alone (``fresh``). Every public function here has a caller
+elsewhere in the package; the composed ops the nodes replaced are the tests'
+oracles."""
 
 from __future__ import annotations
 
@@ -89,11 +88,16 @@ class Tensor:
             self._grad = np.zeros_like(self.value)
         return self._grad
 
-    def accumulate_grad(self, g) -> None:
-        if self._grad is None:
-            self._grad = np.array(g, dtype=self.value.dtype, copy=True)
-        else:
+    def accumulate_grad(self, g, fresh: bool = False) -> None:
+        """Add g, of this node's shape, into the gradient. A first g is copied
+        unless ``fresh`` says the sweep made it for this node alone (not handed
+        to another node, not a view): a C-contiguous g of this dtype is adopted."""
+        if self._grad is not None:
             self._grad += g
+        elif fresh and g.flags.c_contiguous and g.dtype == self.value.dtype:
+            self._grad = g
+        else:
+            self._grad = np.array(g, dtype=self.value.dtype, copy=True)
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -145,7 +149,7 @@ def concat_rows(parts: Sequence, counts: Sequence[Sequence[int]]) -> Tensor:
         sizes = [n for segment in zip(*counts) for n in segment]
         g = np.split(out.grad, np.cumsum(sizes)[:-1])
         for k, p in enumerate(parts):
-            p.accumulate_grad(np.concatenate(g[k :: len(parts)]))
+            p.accumulate_grad(np.concatenate(g[k :: len(parts)]), fresh=True)
 
     return Tensor(out_value, tuple(parts), bw)
 
@@ -170,27 +174,27 @@ def mean_rows(a, counts: Sequence[int] | None = None) -> Tensor:
 
     def bw(out):
         g = out.grad / np.asarray(counts, dtype=out.grad.dtype)[:, None]
-        a.accumulate_grad(np.repeat(g, counts, axis=0))
+        a.accumulate_grad(np.repeat(g, counts, axis=0), fresh=True)
 
     return Tensor(out_value, (a,), bw)
 
 
 def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer norm of the rows of the 2-D x in float64: each row is shifted to
-    mean 0 and scaled to unit variance (population variance plus ``eps``),
-    then the 1 x cols ``gain`` and ``bias`` are applied. Returns the output
-    and the normalized rows and their inverse deviations, the two arrays
-    ``layer_norm_backward`` takes after g."""
+    """Layer norm of the rows of the 2-D x, elementwise in x's dtype: each row
+    is shifted to mean 0 and scaled to unit variance (population variance plus
+    ``eps``; both are float64 sums, rounded once), then the 1 x cols ``gain``
+    and ``bias`` are applied. Returns the output and, for layer_norm_backward,
+    the normalized rows and their inverse deviations, all in x's dtype."""
     cols = x.shape[1]
     if cols < 2:
         raise DegenerateInputError(
             f"layer_norm over {cols} feature(s) is degenerate; need at least 2"
         )
-    xhat = x.astype(np.float64)
-    xhat -= xhat.sum(axis=1, keepdims=True) / cols
+    xhat = x - (x.sum(axis=1, keepdims=True, dtype=np.float64) / cols).astype(x.dtype)
     scratch = np.square(xhat)
-    inv = 1.0 / np.sqrt(scratch.sum(axis=1, keepdims=True) / cols + eps)
+    var = scratch.sum(axis=1, keepdims=True, dtype=np.float64) / cols
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     xhat *= inv
     np.multiply(xhat, gain, out=scratch)
     scratch += bias
@@ -200,18 +204,18 @@ def layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 def layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
                         gain: np.ndarray, g_gain: np.ndarray, g_bias: np.ndarray
                         ) -> np.ndarray:
-    """Reverse sweep of ``layer_norm_values`` for the output gradient g: adds
-    the gain and bias gradients into the caller's float64 buffers and returns
-    the gradient at x in float64."""
+    """Reverse sweep of ``layer_norm_values`` for the output gradient g, in
+    xhat's dtype with float64 sums: adds the gain and bias gradients into the
+    caller's float64 buffers and returns the gradient at x, a fresh array."""
     cols = xhat.shape[1]
-    g = g.astype(np.float64)
     scratch = g * xhat
-    g_gain += scratch.sum(axis=0)
-    g_bias += g.sum(axis=0)
-    g *= gain
+    g_gain += scratch.sum(axis=0, dtype=np.float64)
+    g_bias += g.sum(axis=0, dtype=np.float64)
+    g = g * gain
     np.multiply(g, xhat, out=scratch)
-    g -= g.sum(axis=1, keepdims=True) / cols
-    g -= np.multiply(xhat, scratch.sum(axis=1, keepdims=True) / cols, out=scratch)
+    g -= (g.sum(axis=1, keepdims=True, dtype=np.float64) / cols).astype(g.dtype)
+    dot = (scratch.sum(axis=1, keepdims=True, dtype=np.float64) / cols).astype(g.dtype)
+    g -= np.multiply(xhat, dot, out=scratch)
     g *= inv
     return g
 
@@ -318,8 +322,8 @@ def mlp_forward(x, layers: Sequence, activation: str = "tanh") -> Tensor:
         g_b = [np.zeros_like(b) for _, b in weights]
         x.accumulate_grad(mlp_backward(weights, inputs, out.grad, g_w, g_b, activation))
         for (w, b), gw, gb in zip(params, g_w, g_b):
-            w.accumulate_grad(gw)
-            b.accumulate_grad(gb)
+            w.accumulate_grad(gw, fresh=True)
+            b.accumulate_grad(gb, fresh=True)
 
     return Tensor(out_value, (x, *(t for layer in params for t in layer)), bw)
 

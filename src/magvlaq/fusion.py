@@ -80,10 +80,10 @@ def rk4_integrate(state, layers: Sequence[Layer], steps: int, horizon: float,
             g2 = vjp(in2, g_inc * 2.0 + g3 * (h / 2.0))
             g1 = vjp(in1, g_inc + g2 * (h / 2.0))
             g_y = g_y + g1 + g2 + g3 + g4
-        state.accumulate_grad(g_y)
+        state.accumulate_grad(g_y, fresh=True)
         for (w, b), gw, gb in zip(params, g_w, g_b):
-            w.accumulate_grad(gw)
-            b.accumulate_grad(gb)
+            w.accumulate_grad(gw, fresh=True)
+            b.accumulate_grad(gb, fresh=True)
 
     return ad.Tensor(y, (state, *(t for layer in params for t in layer)), backward)
 

@@ -192,7 +192,9 @@ class PlaceModel:
         rows stacked in list order; ground modalities are additionally
         layer-normalized per token, aerial tokens are not. Each matrix is
         multiplied on its own and the layer norm works row by row, LN_BLOCK
-        rows at a time, so its rows are those of a list that holds it alone."""
+        rows at a time, so its rows are those of a list that holds it alone.
+        The reverse sweep runs block by block over the saved state, and then
+        one weight-gradient matmul of the stacked inputs."""
         xs = [np.asarray(m, dtype=self.dtype) for m in mats]
         for x, owner in zip(xs, owners):
             if x.ndim != 2 or x.shape[1] != self.config.raw_dim:
@@ -207,25 +209,20 @@ class PlaceModel:
             np.matmul(x, w.value, out=out[start:stop])
         saved = []
         for start in range(0, len(out) if norm else 0, LN_BLOCK):
-            rows = out[start : start + LN_BLOCK]
-            out64, *state = ad.layer_norm_values(rows, norm[0].value, norm[1].value)
-            rows[...] = out64
+            rows = slice(start, start + LN_BLOCK)
+            out[rows], *state = ad.layer_norm_values(out[rows], norm[0].value, norm[1].value)
             if ad.grad_enabled():
-                saved.append(state)
+                saved.append((rows, state))
 
         def bw(node):
-            g_w = np.zeros_like(w.value)
-            g_ln = np.zeros((2, out.shape[1]))
-            xhat, inv = (np.concatenate(s) for s in zip(*saved)) if norm else (None, None)
-            for x, lo, hi in zip(xs, starts, starts[1:]):
-                g = node.grad[lo:hi]
-                if norm is not None:
-                    g = ad.layer_norm_backward(g, xhat[lo:hi], inv[lo:hi], norm[0].value, *g_ln)
-                    g = g.astype(self.dtype)
-                g_w += x.T @ g
-            w.accumulate_grad(g_w)
-            for p, g in zip(norm or (), g_ln):
-                p.accumulate_grad(g.reshape(p.value.shape))
+            g = node.grad
+            if norm is not None:
+                g, g_ln = np.empty_like(g), np.zeros((2, out.shape[1]))
+                for rows, state in saved:
+                    g[rows] = ad.layer_norm_backward(node.grad[rows], *state, norm[0].value, *g_ln)
+                for p, gp in zip(norm, g_ln):
+                    p.accumulate_grad(gp.reshape(p.value.shape))
+            w.accumulate_grad(np.concatenate(xs).T @ g, fresh=True)
 
         return ad.Tensor(out, (w, *(norm or ())), bw)
 
@@ -335,7 +332,7 @@ class PlaceModel:
             shift = None if shifts is None else shifts.value[0]
             bank = vlaq.shifted_bank(self.prototypes.value, shift, self.config.alpha)
             tokens = batch.tokens(modalities)[0].value
-            return vlaq.assignment_weights(tokens, bank).astype(tokens.dtype)
+            return vlaq.assignment_weights(tokens, bank)
 
     # ----- embedding lists ------------------------------------------------
 

@@ -217,7 +217,7 @@ def objective(descriptors: ad.Tensor, positives: Sequence[int], negatives: Seque
         g_x = np.zeros_like(x)
         g_x[:n] += np.einsum("ij,ijk->ik", grad, diff).astype(x.dtype)
         g_x[n:] += (-np.einsum("ij,ijk->jk", grad, diff)).astype(x.dtype)
-        descriptors.accumulate_grad(g_x)
+        descriptors.accumulate_grad(g_x, fresh=True)
         if shifts is not None:
             shifts.accumulate_grad(2 * shifts.value * (g * w.shift * (1.0 / len(positives))))
 

@@ -31,23 +31,22 @@ def init_prototypes(num_queries: int, proj_dim: int, rng: np.random.Generator,
 
 
 def assignment_weights(tokens: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Soft-assignment matrix alpha (N x S) in float64; every column sums to one.
-
-    Logits are token-prototype dot products scaled by 1/sqrt(D), in the
-    tokens' dtype. The softmax runs over the token axis in float64, so each
-    query spreads one unit of attention across the tokens.
+    """Soft-assignment matrix alpha (N x S) in the tokens' dtype: a softmax over
+    the token axis of the token-prototype dot products scaled by 1/sqrt(D), so
+    each query spreads one unit of attention across the tokens. It works
+    elementwise in the tokens' dtype; each column's denominator is a float64
+    sum, rounded once.
     """
     if tokens.shape[1] != prototypes.shape[1] or 0 in tokens.shape + prototypes.shape:
         raise DimensionError(
             f"cannot assign tokens of shape {tokens.shape} to prototypes of shape "
             f"{prototypes.shape}"
         )
-    logits = tokens @ prototypes.T.copy()
-    logits *= 1.0 / math.sqrt(tokens.shape[1])
-    alpha = logits.astype(np.float64)
+    alpha = tokens @ prototypes.T.copy()
+    alpha *= 1.0 / math.sqrt(tokens.shape[1])
     alpha -= alpha.max(axis=0, keepdims=True)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=0, keepdims=True)
+    alpha /= alpha.sum(axis=0, keepdims=True, dtype=np.float64).astype(alpha.dtype)
     return alpha
 
 
@@ -79,7 +78,7 @@ def residual_features(tokens: ad.Tensor, counts: Sequence[int], prototypes: ad.T
     for i, (stop, n) in enumerate(zip(itertools.accumulate(counts), counts)):
         rows = slice(stop - n, stop)
         bank = shifted_bank(c, None if shifts is None else shifts.value[i], alpha)
-        weights = assignment_weights(x[rows], bank).astype(x.dtype)
+        weights = assignment_weights(x[rows], bank)
         norm = ad.normalize_rows_values(residual_aggregate(x[rows], bank, weights), strict=False)
         out[i] = norm[0].reshape(-1)
         if ad.grad_enabled():
@@ -93,20 +92,20 @@ def residual_features(tokens: ad.Tensor, counts: Sequence[int], prototypes: ad.T
             # The mass sum_n w[n, s] is one for every prototype, so its term
             # sends gradient to the bank alone: on the weights w it would be
             # a constant per column, which the softmax sweep cancels.
-            weights64 = weights.astype(np.float64, copy=False)
-            g_logits = (x[rows] @ g.T).astype(np.float64, copy=False)
-            g_logits -= (weights64 * g_logits).sum(axis=0, keepdims=True)
-            g_logits *= weights64
-            g_logits = (g_logits * (1.0 / math.sqrt(x.shape[1]))).astype(x.dtype, copy=False)
+            g_logits = x[rows] @ g.T
+            dot = (weights * g_logits).sum(axis=0, keepdims=True, dtype=np.float64)
+            g_logits -= dot.astype(x.dtype)
+            g_logits *= weights
+            g_logits *= 1.0 / math.sqrt(x.shape[1])
             g_tokens[rows] = weights @ g + g_logits @ bank
             g_bank = g_logits.T @ x[rows] - g
             g_prototypes += g_bank
             if shifts is not None:
                 g_shifts.append((g_bank * alpha).reshape(-1))
-        tokens.accumulate_grad(g_tokens)
-        prototypes.accumulate_grad(g_prototypes)
+        tokens.accumulate_grad(g_tokens, fresh=True)
+        prototypes.accumulate_grad(g_prototypes, fresh=True)
         if shifts is not None:
-            shifts.accumulate_grad(np.stack(g_shifts))
+            shifts.accumulate_grad(np.stack(g_shifts), fresh=True)
 
     return ad.Tensor(out, (tokens, prototypes, *([] if shifts is None else [shifts])), bw)
 
@@ -128,7 +127,7 @@ def head(blocks: Sequence[ad.Tensor], proj_w: ad.Tensor) -> ad.Tensor:
     def bw(node):
         g = ad.normalize_rows_backward(node.grad, *rows).astype(projected.dtype)
         g_x = g @ w.T
-        proj_w.accumulate_grad(x.T @ g)
+        proj_w.accumulate_grad(x.T @ g, fresh=True)
         for block, stop in zip(blocks, itertools.accumulate(len(b.value) for b in blocks)):
             block.accumulate_grad(g_x[stop - len(block.value) : stop])
 

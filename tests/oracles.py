@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from magvlaq import autodiff as ad
-from magvlaq import retrieval, training
+from magvlaq import retrieval, training, vlaq
 from magvlaq.autodiff import Tensor, as_tensor
 from magvlaq.errors import (
     ConfigurationError,
@@ -113,7 +113,7 @@ class _Constant(Tensor):
 
     __slots__ = ()
 
-    def accumulate_grad(self, g) -> None:
+    def accumulate_grad(self, g, fresh: bool = False) -> None:
         pass
 
 
@@ -302,10 +302,11 @@ def head(blocks: Sequence[Tensor], proj_w: Tensor) -> Tensor:
     return l2_normalize(matmul(stacked, proj_w))
 
 
-# The float64 kernels as they ran with a fresh array per intermediate:
-# autodiff.layer_norm and the row normalization behind the head and the
-# intra-norm must match them bit for bit, values and every input gradient,
-# and so must the float64 column softmax of vlaq.assignment_weights.
+# The float64 kernels as they ran with a fresh array per intermediate: in a
+# float64 graph, autodiff's layer norm and the row normalization behind the
+# head and the intra-norm must match them bit for bit, values and every input
+# gradient, and so must the column softmax of vlaq.assignment_weights. A
+# float32 layer norm and softmax stay within the bounds further down.
 
 
 def softmax_columns(e) -> Tensor:
@@ -409,6 +410,70 @@ def transpose(a) -> Tensor:
     return Tensor(out_value, (a,), bw)
 
 
+# How far a float32 kernel may land from its float64 oracle run on the same
+# float32 inputs. The kernels work elementwise in float32 with float64 sums,
+# so each entry takes a few float32 roundings (unit roundoff U32), and the
+# bounds below are those roundings propagated, times a safety factor of 8
+# over the first-order analysis. Rounding a row mean to float32 shifts the
+# whole row by up to U32 * |mean|, which the row's deviation then divides:
+# that is kappa = 1 + |mean| / deviation, the layer norm's condition number.
+
+U32 = 2.0**-24
+
+
+def layer_norm_float32_bounds(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                              g: np.ndarray, eps: float = 1e-5) -> list[np.ndarray]:
+    """Bounds on |float32 layer norm - float64 oracle| for input rows x, the
+    affine map and the upstream gradient g: the output, then the x, gain and
+    bias gradients."""
+    x, gain, bias, g = (np.asarray(a, np.float64) for a in (x, gain, bias, g))
+    mean = x.mean(axis=1, keepdims=True)
+    var = np.square(x - mean).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    kappa = 1.0 + np.abs(mean) * inv
+    xhat = np.abs(x - mean) * inv
+    gg = np.abs(g * gain).max(axis=1, keepdims=True)
+    return [
+        8 * U32 * (np.abs(gain) * (kappa + xhat) + np.abs(bias)),
+        8 * U32 * inv * np.square(kappa + xhat.max(axis=1, keepdims=True)) * gg,
+        8 * U32 * (np.abs(g) * (kappa + xhat)).sum(axis=0, keepdims=True),
+        8 * U32 * np.abs(g).sum(axis=0, keepdims=True),
+    ]
+
+
+def assignment_float32_bound(tokens: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Bound on |float32 soft assignment - float64 oracle|, N x S. A float32
+    logit is off by at most D * U32 times its sum of |products| (the matmul)
+    plus U32 * |logit| (the scaling), delta per column at most; a weight
+    moves by its relative share of twice that, plus a few roundings of its
+    exp, its shift by the column max and its division. A weight that float32
+    flushes to zero may be off by up to float32's smallest normal."""
+    t, p = np.asarray(tokens, np.float64), np.asarray(prototypes, np.float64)
+    d = t.shape[1]
+    logits = t @ p.T / math.sqrt(d)
+    delta = (d * U32 * (np.abs(t) @ np.abs(p).T) / math.sqrt(d)
+             + U32 * np.abs(logits)).max(axis=0, keepdims=True)
+    gap = logits.max(axis=0, keepdims=True) - logits
+    want = assignment_weights(Tensor(t), Tensor(p)).value
+    return 8 * want * np.expm1(2 * delta + U32 * (gap + 4)) + np.finfo(np.float32).tiny
+
+
+def residual_rows_float32_bound(tokens: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Bound on |float32 residual-features row - float64 oracle| of one token
+    set over one bank, a 1 x S bound per intra-normalized query row. The
+    residual v_s = sum_n w[n, s] (x_n - c_s) moves by its weights' errors and
+    by float32 sums of N terms (N * U32 each) over |x_n| + |c_s|; its unit
+    row moves by twice that over |v_s|, plus the normalization's roundings.
+    A zero residual stays zero."""
+    t, p = np.asarray(tokens, np.float64), np.asarray(prototypes, np.float64)
+    w = assignment_weights(Tensor(t), Tensor(p)).value
+    slack = assignment_float32_bound(t, p) + 8 * (len(t) + 2) * U32 * w
+    moved = np.linalg.norm(slack.T @ np.abs(t) + slack.sum(axis=0)[:, None] * np.abs(p), axis=1)
+    norms = np.linalg.norm(residual_aggregate(Tensor(t), Tensor(p), Tensor(w)).value, axis=1)
+    live = norms > 1e-12
+    return np.where(live, 2 * moved / np.where(live, norms, 1.0) + 32 * U32, 0.0)[None, :]
+
+
 # A token set's residual features composed of generic ops, about a dozen
 # nodes: vlaq.residual_features must match its value bit for bit, and its
 # token and bank gradients up to summation order.
@@ -459,6 +524,21 @@ def stacked_residual_features(tokens: Tensor, counts: Sequence[int], prototypes:
         rows.append(residual_features(slice_rows(tokens, start, start + n), bank))
         start += n
     return ad.concat_rows(rows, [[1]] * len(rows))
+
+
+def per_set_residual_rows(tokens: np.ndarray, counts: Sequence[int], prototypes: np.ndarray,
+                          shifts: np.ndarray | None = None, alpha: float = 1.0) -> np.ndarray:
+    """vlaq.residual_features's rows one token set at a time, through the
+    package's own assignment, aggregation and intra-norm kernels: a node over
+    stacked sets must give every set these bits, in either dtype."""
+    rows, start = [], 0
+    for i, n in enumerate(counts):
+        x, start = tokens[start : start + n], start + n
+        bank = prototypes if shifts is None else \
+            prototypes + shifts[i].reshape(prototypes.shape) * alpha
+        residuals = vlaq.residual_aggregate(x, bank, vlaq.assignment_weights(x, bank))
+        rows.append(ad.normalize_rows_values(residuals, strict=False)[0].reshape(1, -1))
+    return np.concatenate(rows).astype(tokens.dtype)
 
 
 # The MLP and the ops it was composed of before it became one node:

@@ -369,6 +369,26 @@ def _kernel_inputs(name, shape, dtype, scale):
     return [a.astype(dtype) for a in arrays]
 
 
+def _run_kernel(kernel, arrays, upstream):
+    """A kernel's value and every input gradient for the given upstream."""
+    inputs = [ad.Tensor(a.copy()) for a in arrays]
+    out = kernel(*inputs)
+    ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
+    return [out.value, *(t.grad for t in inputs)]
+
+
+def _layer_norm_within_bounds(arrays, upstream):
+    """The float32 layer norm against the float64 oracle on the same inputs,
+    within ``oracles.layer_norm_float32_bounds``."""
+    got = _run_kernel(_layer_norm, arrays, upstream)
+    want = _run_kernel(oracles.layer_norm, [a.astype(np.float64) for a in arrays],
+                       upstream.astype(np.float64))
+    bounds = oracles.layer_norm_float32_bounds(*arrays, upstream)
+    for g, w, bound in zip(got, want, bounds):
+        assert g.dtype == np.float32
+        assert (np.abs(g - w) <= bound).all(), float((np.abs(g - w) / bound).max())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(1, 2), (3, 8), (64, 128), (4096, 128)])
 @pytest.mark.parametrize("name,scale", [
@@ -377,17 +397,38 @@ def _kernel_inputs(name, shape, dtype, scale):
     ("pass_through_rows", 1.0),
 ])
 def test_float64_kernels_match_their_oracles_bit_for_bit(name, scale, shape, dtype):
+    """Values and input gradients equal the oracles' bit for bit, except the
+    float32 layer norm: it works elementwise in float32 with float64 sums,
+    and stays within a stated bound of the float64 oracle."""
     arrays = _kernel_inputs(name, shape, dtype, scale)
     upstream = np.random.default_rng(shape).standard_normal(shape).astype(dtype)
-    results = []
-    for kernel in LEAN_KERNELS[name]:
-        inputs = [ad.Tensor(a.copy()) for a in arrays]
-        out = kernel(*inputs)
-        ad.backward(oracles.sum_all(oracles.mul(out, oracles.constant(upstream))))
-        results.append([out.value, *(t.grad for t in inputs)])
+    if name == "layer_norm" and dtype == np.float32:
+        _layer_norm_within_bounds(arrays, upstream)
+        return
+    results = [_run_kernel(kernel, arrays, upstream) for kernel in LEAN_KERNELS[name]]
     for got, want in zip(*results):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("offset", [1e3, -3e4])
+@pytest.mark.parametrize("shape", [(3, 8), (64, 128)])
+def test_layer_norm_rows_with_a_large_common_offset(shape, offset, dtype):
+    """Rows whose mean is far from zero next to their spread: float64 still
+    equals the oracle bit for bit; float32 rounds the mean once, and its
+    bound grows with |mean| / deviation."""
+    rng = np.random.default_rng([*shape, int(abs(offset))])
+    x = rng.standard_normal(shape) * rng.uniform(0.5, 4.0, (shape[0], 1)) + offset
+    arrays = [a.astype(dtype) for a in (x, rng.standard_normal((1, shape[1])),
+                                        rng.standard_normal((1, shape[1])))]
+    upstream = rng.standard_normal(shape).astype(dtype)
+    if dtype == np.float32:
+        _layer_norm_within_bounds(arrays, upstream)
+        return
+    got, want = (_run_kernel(k, arrays, upstream) for k in LEAN_KERNELS["layer_norm"])
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

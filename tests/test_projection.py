@@ -52,6 +52,27 @@ def _bounds(mats):
     return [(int(e) - len(m), int(e)) for m, e in zip(mats, ends)]
 
 
+def _assert_rows_match(model: PlaceModel, got: np.ndarray, mats, modality: str) -> None:
+    """Each matrix's rows of a projection equal the composed oracle's bit for
+    bit. A float32 layer norm works in float32 with float64 sums: its rows
+    equal those of the matrix projected alone, and stay within
+    ``oracles.layer_norm_float32_bounds`` of the float64 layer norm of the
+    same float32 projection."""
+    for x, (start, stop) in zip(mats, _bounds(mats)):
+        rows = got[start:stop]
+        if modality == "aerial" or model.dtype == np.float64:
+            assert rows.tobytes() == _oracle(model, x, modality).value.tobytes()
+            continue
+        alone = model.project_tokens([x], modality, ["alone"]).value
+        assert rows.tobytes() == alone.tobytes()
+        projected = x @ model.proj[modality].value
+        affine = [p.value for p in model.ln[modality]]
+        want = oracles.layer_norm(*(ad.Tensor(a.astype(np.float64))
+                                    for a in (projected, *affine))).value
+        bound = oracles.layer_norm_float32_bounds(projected, *affine, np.zeros_like(projected))[0]
+        assert (np.abs(rows - want) <= bound).all()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch", [1, 2, 17])
 @pytest.mark.parametrize("ragged", [False, True])
@@ -63,8 +84,7 @@ def test_projection_rows_match_the_composed_oracle_bit_for_bit(modality, ragged,
     with ad.no_grad():
         got = model.project_tokens(mats, modality, [f"o{i}" for i in range(batch)]).value
         assert got.dtype == dtype and got.shape == (sum(map(len, mats)), 128)
-        for x, (start, stop) in zip(mats, _bounds(mats)):
-            assert got[start:stop].tobytes() == _oracle(model, x, modality).value.tobytes()
+        _assert_rows_match(model, got, mats, modality)
 
 
 def _long_stack(dtype) -> list[np.ndarray]:
@@ -84,8 +104,7 @@ def test_a_stack_of_several_layer_norm_blocks_matches_the_oracle_bit_for_bit(mod
     assert sum(map(len, mats)) > 4 * LN_BLOCK
     with ad.no_grad():
         got = model.project_tokens(mats, modality, [f"o{i}" for i in range(len(mats))]).value
-        for x, (start, stop) in zip(mats, _bounds(mats)):
-            assert got[start:stop].tobytes() == _oracle(model, x, modality).value.tobytes()
+        _assert_rows_match(model, got, mats, modality)
 
 
 @pytest.mark.parametrize("stack", ["ragged", "long"])
@@ -150,7 +169,7 @@ def test_a_batch_projects_each_modality_and_scale_once():
 
 
 def test_embedding_64_default_observations_stays_under_15_mib():
-    """The layer norm's float64 scratch spans one LN_BLOCK-row block, not a
+    """The layer norm's scratch spans one LN_BLOCK-row block, not a
     whole (modality, scale) stack, so embedding a full chunk stays small."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = PlaceModel(ModelConfig(), seed=0)

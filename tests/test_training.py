@@ -23,6 +23,7 @@ from magvlaq.errors import (
 )
 from magvlaq.model import (
     EMBED_CHUNK,
+    LN_BLOCK,
     MODALITY_MASKS,
     GroundBatch,
     ModelConfig,
@@ -764,8 +765,8 @@ def _tape(root) -> list:
 def test_each_views_residual_features_is_one_node(tiny_dataset):
     """In a training batch, the assignment, residuals and intra-norm of all
     token sets of a view are one node, whose parents are the stacked tokens,
-    the prototypes and, for a conditioned view, the shifts. Row i is the
-    composed oracle's on set i and its bank, bit for bit."""
+    the prototypes and, for a conditioned view, the shifts. Row i is, bit
+    for bit, what the package's kernels give set i over its bank alone."""
     model = PlaceModel(MODEL, seed=3)
     rng = np.random.default_rng(9)
     for name, p in model.store.items():
@@ -781,9 +782,10 @@ def test_each_views_residual_features_is_one_node(tiny_dataset):
         assert tokens.value.tobytes() == token_set.value.tobytes()
         assert bank == [model.prototypes] + ([] if shifts is None else [shifts])
         assert rows.shape == (len(anchors), model.prototypes.value.size)
-        want = oracles.stacked_residual_features(tokens, counts, model.prototypes, shifts,
-                                                 model.config.alpha)
-        assert rows.value.tobytes() == want.value.tobytes()
+        want = oracles.per_set_residual_rows(tokens.value, counts, model.prototypes.value,
+                                             None if shifts is None else shifts.value,
+                                             model.config.alpha)
+        assert rows.value.tobytes() == want.tobytes()
     conditioned = [shifts.value for _, shifts, _ in views if shifts is not None]
     assert len(conditioned) == 3 and all(np.abs(v).max(axis=1).min() > 0 for v in conditioned)
     rows = model.aerial_rows(positives)
@@ -791,7 +793,7 @@ def test_each_views_residual_features_is_one_node(tiny_dataset):
     counts = [len(ref.token_set.scales[-1]) for ref in positives]
     assert prototypes is model.prototypes
     assert rows.value.tobytes() == \
-        oracles.stacked_residual_features(tokens, counts, prototypes).value.tobytes()
+        oracles.per_set_residual_rows(tokens.value, counts, prototypes.value).tobytes()
 
 
 @pytest.mark.parametrize("aggregator", ["ode-vlaq", "static-vlaq"])
@@ -820,10 +822,11 @@ def test_the_batch_objective_is_one_node(tiny_dataset, monkeypatch, aggregator):
     assert all(p._parents == () and p._backward is None for p in parts[:3])
 
 
-def _default_batch_total(aggregator: str) -> ad.Tensor:
-    """The total of a default-config training batch of 16 anchors."""
+def _default_batch_total(aggregator: str, model: PlaceModel | None = None) -> ad.Tensor:
+    """The total of a default-config training batch of 16 anchors, of a
+    fresh model unless one is given."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
-    model = PlaceModel(ModelConfig(aggregator=aggregator), seed=0)
+    model = model or PlaceModel(ModelConfig(aggregator=aggregator), seed=0)
     settings = training.TrainSettings()
     geos = [ref.geo for ref in dataset.aerial]
     anchors = dataset.split_ground("train")[: settings.batch_size]
@@ -858,3 +861,42 @@ def test_no_two_gradients_of_a_default_training_batch_share_memory():
     for i, a in enumerate(grads):
         for b in grads[i + 1 :]:
             assert not np.shares_memory(a, b)
+
+
+def test_backward_of_a_default_training_batch_copies_no_fresh_gradient():
+    """A sweep hands the array it made for one parent over without a copy, so
+    backward of a default ode-vlaq batch allocates at most 4 MiB beyond the
+    gradients it leaves. Copying the head's 16 MiB weight gradient breaks
+    this: that array would be held twice."""
+    total = _default_batch_total("ode-vlaq")
+    tracemalloc.start()
+    try:
+        ad.backward(total)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 4 * 2**20, (held, peak)
+
+
+def test_a_default_batch_sweeps_each_ground_projection_back_in_layer_norm_blocks(monkeypatch):
+    """Backward of a default batch calls layer_norm_backward once per LN_BLOCK
+    rows of each ground (modality, scale) projection node, over the state its
+    forward saved block by block, not once per observation."""
+    model = PlaceModel(ModelConfig(), seed=0)
+    swept = []
+    layer_norm_backward = ad.layer_norm_backward
+
+    def counting(g, *args):
+        swept.append(len(g))
+        return layer_norm_backward(g, *args)
+
+    monkeypatch.setattr(ad, "layer_norm_backward", counting)
+    total = _default_batch_total("ode-vlaq", model)
+    ground = [node for node in _tape(total)
+              if any(p is model.proj[m] for m in ("image", "lidar") for p in node._parents)]
+    assert len(ground) == 2 * model.config.num_scales
+    want = [min(LN_BLOCK, len(node.value) - start)
+            for node in ground for start in range(0, len(node.value), LN_BLOCK)]
+    ad.backward(total)
+    assert sorted(swept) == sorted(want)
+
