@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,12 +139,20 @@ def validate_dataset(dataset: TokenDataset, tau_p: float = 10.0,
     if len(tags) > 1:
         out.append(Violation(sorted(tags)[0], "mixed-modality-tags"))
 
-    for obs in dataset.ground:
-        if obs.split == "train" and not any(
-            math.dist(obs.geo, ref.geo) < tau_p for ref in dataset.aerial
-        ):
-            out.append(Violation(obs.id, "orphan-query"))
+    train = dataset.split_ground("train")
+    near = geo_distances([obs.geo for obs in train], [ref.geo for ref in dataset.aerial]) < tau_p
+    out.extend(Violation(obs.id, "orphan-query") for obs, row in zip(train, near) if not row.any())
     return out
+
+
+def geo_distances(a_geos: Sequence[tuple[float, float]],
+                  b_geos: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Float64 ``len(a_geos)`` x ``len(b_geos)`` matrix of the planar
+    distances (meters) between two lists of geo-positions: ``math.hypot`` of
+    each pair's coordinate differences."""
+    pairs = (math.hypot(ax - bx, ay - by) for ax, ay in a_geos for bx, by in b_geos)
+    count = len(a_geos) * len(b_geos)
+    return np.fromiter(pairs, np.float64, count).reshape(len(a_geos), len(b_geos))
 
 
 def save_token_file(dataset: TokenDataset, path: str | Path, tau_p: float = 10.0) -> int:

@@ -18,11 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import retrieval
+from . import magt, retrieval
 from .errors import ConfigurationError, ContractError, DivergenceError
 from .model import GroundBatch, PlaceModel
 from .params import ParamStore
-from .tokens import AerialReference, GroundObservation, TokenDataset
+from .tokens import AerialReference, GroundObservation, TokenDataset, geo_distances
 
 CSV_HEADER = "epoch,l_tri,l_aux,l_q,total,recall1,recall5,recall10,seconds"
 
@@ -108,11 +108,7 @@ def geo_zones(ground_geos: Sequence[tuple[float, float]],
     """Boolean ground x reference masks of the positive (< tau_p) and
     negative (> tau_n) zones; both comparisons are strict."""
     thresholds.validate()
-    d = np.array(
-        [[math.hypot(gx - rx, gy - ry) for rx, ry in reference_geos]
-         for gx, gy in ground_geos],
-        dtype=np.float64,
-    ).reshape(len(ground_geos), len(reference_geos))
+    d = geo_distances(ground_geos, reference_geos)
     return d < thresholds.tau_p, d > thresholds.tau_n
 
 
@@ -244,9 +240,7 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     if any(m is None for m in store.first_moment.values()):
         raise ContractError("the store was loaded without its Adam moments; it cannot step")
     for name, p in store.items():
-        # NaN reaches both extremes and an infinity one, with no full-size mask
-        g = p._grad
-        if g is not None and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        if p._grad is not None and not magt.all_finite(p._grad):
             raise DivergenceError(f"non-finite gradient in parameter {name!r}")
     store.step += 1
     t = store.step
@@ -324,80 +318,53 @@ def train_epoch(model: PlaceModel, dataset: TokenDataset, settings: TrainSetting
                 epoch: int, rng: np.random.Generator) -> EpochMetrics:
     """One pass over the train split in shuffled batches, then a test eval.
 
-    Epoch 0 samples negatives uniformly from the negative zone; later epochs
-    pick the hardest zone member by current descriptor distance, refreshed
-    once at epoch start. Anchors whose zones are empty are skipped and
-    counted.
+    The epoch is mined once, at its start. Each anchor's positive is its
+    nearest reference by geo distance. Epoch 0 draws its negative uniformly
+    from the negative zone, one draw per anchor in shuffled order; later
+    epochs take the zone member nearest by float64 descriptor distance,
+    embedded at epoch start. Ties go to the lowest reference index. Anchors
+    without a positive or a negative are skipped and counted.
     """
     settings.validate()
     started = time.perf_counter()
     train_obs = dataset.split_ground("train")
     if not train_obs:
         raise ConfigurationError("train split is empty")
+    anchor_geos = [obs.geo for obs in train_obs]
     aerial_geos = [ref.geo for ref in dataset.aerial]
-
-    hard_ground = hard_aerial = None
-    if epoch > 0:
-        hard_ground = model.embed_ground(train_obs)
-        hard_aerial = model.embed_aerial(dataset.aerial)
-
+    near, far = geo_zones(anchor_geos, aerial_geos, settings.thresholds)
+    usable = near.any(axis=1) & far.any(axis=1)
+    used = int(usable.sum())
+    if not used:
+        raise ConfigurationError("every anchor in the epoch was skipped during mining")
+    # the nearest reference of an anchor with a positive is its nearest positive
+    positive = geo_distances(anchor_geos, aerial_geos).argmin(axis=1)
     order = rng.permutation(len(train_obs))
+    if epoch == 0:
+        negative = np.zeros(len(train_obs), dtype=np.intp)
+        for i in order[usable[order]]:
+            negative[i] = np.flatnonzero(far[i])[rng.integers(far[i].sum())]
+    else:
+        distances = retrieval.distance_matrix(model.embed_ground(train_obs),
+                                              model.embed_aerial(dataset.aerial))
+        negative = np.where(far, distances, np.inf).argmin(axis=1)
+
     sums = [0.0] * 4  # anchor-weighted l_tri, l_aux, l_q and total
-    weight = 0
-    skipped = 0
-
     for start in range(0, len(order), settings.batch_size):
-        batch_ids = order[start : start + settings.batch_size]
-        anchors = []
-        pos_idx: list[int] = []
-        neg_idx: list[int] = []
-        for oi in batch_ids:
-            obs = train_obs[oi]
-            positives, negatives = mine_pairs(obs.geo, aerial_geos, settings.thresholds)
-            if not positives or not negatives:
-                skipped += 1
-                continue
-            best_pos = min(
-                positives,
-                key=lambda j: math.hypot(
-                    obs.geo[0] - aerial_geos[j][0], obs.geo[1] - aerial_geos[j][1]
-                ),
-            )
-            if hard_ground is None:
-                chosen_neg = negatives[int(rng.integers(len(negatives)))]
-            else:
-                anchor_vec = hard_ground[oi]
-                chosen_neg = min(
-                    negatives,
-                    key=lambda j: float(
-                        np.linalg.norm(anchor_vec - hard_aerial[j])
-                    ),
-                )
-            anchors.append(obs)
-            pos_idx.append(best_pos)
-            neg_idx.append(chosen_neg)
-        if not anchors:
+        batch = [i for i in order[start : start + settings.batch_size] if usable[i]]
+        if not batch:
             continue
-
-        parts = batch_loss(
-            model,
-            anchors,
-            [dataset.aerial[j] for j in pos_idx],
-            [dataset.aerial[j] for j in neg_idx],
-            settings,
-        )
+        parts = batch_loss(model, [train_obs[i] for i in batch],
+                           [dataset.aerial[j] for j in positive[batch]],
+                           [dataset.aerial[j] for j in negative[batch]], settings)
         ad.backward(parts[3])
         adam_step(model.store, settings.lr)
-        sums = [s + part.item() * len(anchors) for s, part in zip(sums, parts)]
-        weight += len(anchors)
-
-    if weight == 0:
-        raise ConfigurationError("every anchor in the epoch was skipped during mining")
+        sums = [s + part.item() * len(batch) for s, part in zip(sums, parts)]
 
     recalls = evaluate_recall(model, dataset, settings)
     return EpochMetrics(
-        epoch, *(s / weight for s in sums), recalls=recalls,
-        seconds=time.perf_counter() - started, skipped_anchors=skipped,
+        epoch, *(s / used for s in sums), recalls=recalls,
+        seconds=time.perf_counter() - started, skipped_anchors=len(train_obs) - used,
     )
 
 

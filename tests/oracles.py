@@ -19,6 +19,7 @@ from magvlaq.errors import (
 )
 from magvlaq.model import PlaceModel
 from magvlaq.params import ParamStore
+from magvlaq.tokens import TokenDataset
 
 
 def brute_force_vlaq(tokens: np.ndarray, prototypes: np.ndarray,
@@ -740,6 +741,49 @@ def batch_loss(model: PlaceModel, anchors: list, positives: list, negatives: lis
     )
     l_q = query_shift_regularizer([f.shift for f in fused], model.dtype)
     return l_tri, l_aux, l_q, total_loss(l_tri, l_aux, l_q, settings.weights)
+
+
+def mine_epoch(model: PlaceModel, dataset: TokenDataset, settings: training.TrainSettings,
+               epoch: int, rng: np.random.Generator
+               ) -> tuple[list[tuple[list, list, list]], int]:
+    """Per-anchor mining of one epoch, as training.train_epoch mines it.
+
+    Returns the (anchor, positive, negative) id lists of each batch that
+    reaches the loss, in order, and the skipped-anchor count. Anchors are
+    shuffled by ``rng.permutation``; an anchor with no positive or no
+    negative is skipped. The positive is the geo-nearest positive. Epoch 0
+    draws the negative with one ``rng.integers`` per kept anchor; later
+    epochs take the negative nearest by float64 descriptor distance. ``min``
+    breaks ties by the lowest reference index.
+    """
+    train_obs = dataset.split_ground("train")
+    refs = dataset.aerial
+    if epoch > 0:
+        hard_ground = model.embed_ground(train_obs).astype(np.float64)
+        hard_aerial = model.embed_aerial(refs).astype(np.float64)
+    order = rng.permutation(len(train_obs))
+    batches, skipped = [], 0
+    for start in range(0, len(order), settings.batch_size):
+        anchors, positives, negatives = [], [], []
+        for oi in order[start : start + settings.batch_size]:
+            obs = train_obs[oi]
+            pos, neg = training.mine_pairs(obs.geo, [r.geo for r in refs], settings.thresholds)
+            if not pos or not neg:
+                skipped += 1
+                continue
+            best_pos = min(pos, key=lambda j: math.hypot(obs.geo[0] - refs[j].geo[0],
+                                                         obs.geo[1] - refs[j].geo[1]))
+            if epoch == 0:
+                chosen = neg[int(rng.integers(len(neg)))]
+            else:
+                chosen = min(neg, key=lambda j: float(np.linalg.norm(hard_ground[oi]
+                                                                     - hard_aerial[j])))
+            anchors.append(obs.id)
+            positives.append(refs[best_pos].id)
+            negatives.append(refs[chosen].id)
+        if anchors:
+            batches.append((anchors, positives, negatives))
+    return batches, skipped
 
 
 # The batch objective composed of generic ops, about 60 nodes for 16

@@ -443,13 +443,13 @@ def test_the_head_names_the_same_degenerate_row_as_its_oracle(dtype):
     assert "row 1" in str(lean.value)
 
 
-def test_layer_norm_peaks_at_three_float64_copies_of_its_input():
+def test_layer_norm_peaks_at_three_float32_copies_forward_and_two_backward():
     rng = np.random.default_rng(12)
     x = ad.Tensor(rng.standard_normal((4096, 128)).astype(np.float32))
     gain = ad.Tensor(np.ones((1, 128), dtype=np.float32))
     bias = ad.Tensor(np.zeros((1, 128), dtype=np.float32))
     upstream = rng.standard_normal((4096, 128)).astype(np.float32)
-    limit = 3 * x.value.size * 8
+    copy, slack = x.value.nbytes, 256 * 1024  # slack: per-row float64 sums and small scratch
     tracemalloc.start()
     try:
         out = _layer_norm(x, gain, bias)
@@ -461,8 +461,8 @@ def test_layer_norm_peaks_at_three_float64_copies_of_its_input():
         backward_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert forward_peak <= limit, forward_peak
-    assert backward_peak <= limit, backward_peak
+    assert forward_peak <= 3 * copy + slack, forward_peak
+    assert backward_peak <= 2 * copy + slack, backward_peak
 
 
 def test_sqrt_with_eps_is_differentiable_at_zero():

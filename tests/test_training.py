@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from magvlaq import autodiff as ad
 from magvlaq import retrieval, tokens, training, vlaq
+from magvlaq.config import RunConfig
 from magvlaq.errors import (
     ConfigurationError,
     ContractError,
@@ -492,7 +493,8 @@ def test_metrics_csv_row_format():
 def test_anchors_without_negatives_are_skipped():
     # Keep one place's observations and park every reference within a few
     # meters of its first anchor: all anchors see positives but the negative
-    # zone (> tau_n) is empty, so mining skips the whole epoch.
+    # zone (> tau_n) is empty, so mining skips the whole epoch. Without any
+    # reference, every zone is empty.
     ds = tokens.generate_synthetic_dataset(SYNTH, 17)
     keep = ds.ground[: SYNTH.train_per_place + SYNTH.test_per_place]
     cx, cy = keep[0].geo
@@ -500,9 +502,78 @@ def test_anchors_without_negatives_are_skipped():
     aerial[0].token_set.geo = (cx + 2.0, cy)
     aerial[1].token_set.geo = (cx, cy + 3.0)
     band_ds = tokens.TokenDataset(ground=keep, aerial=aerial)
+    no_refs = tokens.TokenDataset(ground=keep, aerial=[])
     m = PlaceModel(MODEL, seed=3)
-    with pytest.raises(ConfigurationError, match="skipped"):
-        training.train_epoch(m, band_ds, SETTINGS, 0, np.random.default_rng(0))
+    for dataset, epoch in [(band_ds, 0), (band_ds, 1), (no_refs, 0), (no_refs, 1)]:
+        with pytest.raises(ConfigurationError, match="every anchor .* skipped"):
+            training.train_epoch(m, dataset, SETTINGS, epoch, np.random.default_rng(0))
+
+
+def _mined_epochs(model, dataset, settings, monkeypatch, epochs=2):
+    """Per epoch: the (anchor, positive, negative) ids of each batch that
+    train_epoch hands to batch_loss, the oracle's batches and skip count for
+    the same model and rng, and the epoch's metrics."""
+    seen = []
+    real = training.batch_loss
+
+    def recording(model, anchors, positives, negatives, settings):
+        seen.append(tuple([item.id for item in part] for part in (anchors, positives, negatives)))
+        return real(model, anchors, positives, negatives, settings)
+
+    monkeypatch.setattr(training, "batch_loss", recording)
+    out = []
+    for epoch in range(epochs):
+        expected, skipped = oracles.mine_epoch(model, dataset, settings, epoch,
+                                               np.random.default_rng([5, epoch]))
+        seen.clear()
+        met = training.train_epoch(model, dataset, settings, epoch,
+                                   np.random.default_rng([5, epoch]))
+        out.append((list(seen), expected, skipped, met))
+    return out
+
+
+@pytest.mark.parametrize("config", ["tiny", "default"])
+def test_train_epoch_mines_what_the_per_anchor_oracle_mines(config, tiny_dataset, monkeypatch):
+    if config == "tiny":
+        dataset, model, settings = tiny_dataset, PlaceModel(MODEL, seed=3), SETTINGS
+    else:
+        cfg = RunConfig()
+        dataset = tokens.generate_synthetic_dataset(cfg.synth_config(), cfg.seed)
+        model, settings = PlaceModel(cfg.model_config(), seed=cfg.seed), cfg.train_settings()
+    for seen, expected, skipped, met in _mined_epochs(model, dataset, settings, monkeypatch):
+        assert seen == expected
+        assert met.skipped_anchors == skipped == 0
+
+
+def _placed(dataset, anchor_geos, reference_geos):
+    """The dataset with its train observations and references moved to the
+    given geo-positions, in order."""
+    train = iter(anchor_geos)
+    ground = [_moved(obs, next(train)) if obs.split == "train" else obs for obs in dataset.ground]
+    aerial = [
+        dataclasses.replace(ref, token_set=dataclasses.replace(ref.token_set, geo=geo))
+        for ref, geo in zip(dataset.aerial, reference_geos, strict=True)
+    ]
+    return tokens.TokenDataset(ground=ground, aerial=aerial)
+
+
+def test_train_epoch_skips_exactly_the_anchors_without_a_positive_or_a_negative(
+        tiny_dataset, monkeypatch):
+    # References at 0, 18 and 30 m on a line. The anchors at 9 and 12 m have
+    # every reference within tau_n (no negative); the one at 100 m has no
+    # positive. The other three have both.
+    anchor_geos = [(-5.0, 0.0), (9.0, 0.0), (35.0, 0.0), (100.0, 0.0), (2.0, 0.0), (12.0, 0.0)]
+    ds = _placed(tiny_dataset, anchor_geos, [(0.0, 0.0), (18.0, 0.0), (30.0, 0.0)])
+    train = ds.split_ground("train")
+    assert len(train) == len(anchor_geos)
+    geos = [ref.geo for ref in ds.aerial]
+    kept = {obs.id for obs in train if all(training.mine_pairs(obs.geo, geos, THRESH))}
+    assert {obs.geo for obs in train if obs.id in kept} == {(-5.0, 0.0), (35.0, 0.0), (2.0, 0.0)}
+    model = PlaceModel(MODEL, seed=3)
+    for seen, expected, skipped, met in _mined_epochs(model, ds, SETTINGS, monkeypatch):
+        assert seen == expected
+        assert met.skipped_anchors == skipped == 3
+        assert sorted(i for anchors, _, _ in seen for i in anchors) == sorted(kept)
 
 
 def test_evaluate_recall_reports_nan_without_queries(tiny_dataset):
