@@ -11,9 +11,10 @@ back a batch's rows in blocks. The MLP, the layer norm and the row
 normalization are numpy values/backward pairs, reused by the nodes that fuse
 several steps; ``add`` of two same-shape matrices is the only elementwise op.
 A node owns its gradient: the first one is copied unless the sweep made it
-for that node alone (``fresh``). Every public function here has a caller
-elsewhere in the package; the composed ops the nodes replaced are the tests'
-oracles."""
+for that node alone (``fresh``). ``backward`` sweeps a graph once, freeing
+each interior node's saved state and gradient as it goes; leaves accumulate.
+Every public function here has a caller elsewhere in the package; the
+composed ops the nodes replaced are the tests' oracles."""
 
 from __future__ import annotations
 
@@ -59,8 +60,9 @@ class Tensor:
     """A dense array with an accumulated gradient and backward recipe.
 
     ``value`` is the forward result; ``grad`` has the same shape and holds
-    d(loss)/d(self) after ``backward()`` has run. Gradients accumulate
-    across backward calls until explicitly cleared.
+    d(loss)/d(self) after ``backward()`` has run, for a leaf: a leaf's
+    gradient accumulates across graphs until cleared, while an interior
+    node's is freed with the rest of its state once its sweep has run.
     """
 
     __slots__ = ("value", "_grad", "_parents", "_backward")
@@ -348,19 +350,25 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the scalar loss depends on.
+def _swept(node):
+    raise ContractError("this node's graph was already swept")
 
-    Repeated calls without clearing gradients accumulate, which batch loops
-    rely on; parameters are cleared by the optimizer step.
+
+def backward(loss: Tensor) -> None:
+    """Populate gradients of everything the scalar loss depends on, sweeping
+    the graph once: each interior node drops its saved forward state, parent
+    links and gradient as soon as its sweep has run. Leaves keep accumulating
+    across graphs until cleared (the optimizer step clears parameters).
     """
     if loss.value.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    for node in order:
-        if node._parents:
-            node._grad = None
+    if any(node._backward is _swept for node in order):
+        raise ContractError("backward reached a node of a graph it already swept and "
+                            "freed; rebuild the forward to differentiate it again")
     loss.accumulate_grad(np.ones_like(loss.value))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node)
+            node._backward, node._parents, node._grad = _swept, (), None

@@ -88,14 +88,31 @@ def test_diamond_graph_accumulates_both_paths():
     np.testing.assert_allclose(x.grad, [[7.0]])
 
 
-def test_repeated_backward_doubles_leaf_but_not_interior():
+def test_leaves_accumulate_across_two_graphs_and_a_graph_is_swept_once():
     x = ad.Tensor(np.array([[3.0]]))
-    y = oracles.mul(x, x)
-    loss = oracles.scale(y, 2.0)  # d/dx = 4x = 12
-    ad.backward(loss)
-    ad.backward(loss)
+    losses = [oracles.scale(oracles.mul(x, x), 2.0) for _ in range(2)]  # d/dx = 4x = 12
+    for loss in losses:
+        ad.backward(loss)
     np.testing.assert_allclose(x.grad, [[24.0]])  # leaves accumulate
-    np.testing.assert_allclose(y.grad, [[2.0]])  # interiors are reset per pass
+    with pytest.raises(ContractError, match="rebuild the forward"):
+        ad.backward(losses[0])
+    np.testing.assert_allclose(x.grad, [[24.0]])
+
+
+def test_backward_refuses_a_swept_graph_before_any_leaf_gradient_moves():
+    """A swept node has dropped its saved state and parent links: a second
+    sweep of the same loss, or a sweep of a new loss built on an interior node
+    of a swept graph, raises before touching any gradient."""
+    x, w = ad.Tensor(np.array([[3.0]])), ad.Tensor(np.array([[5.0]]))
+    y = oracles.mul(x, x)
+    loss = oracles.scale(y, 2.0)
+    ad.backward(loss)
+    assert y._parents == () and y._grad is None
+    for again in (loss, ad.add(y, oracles.mul(w, w))):
+        with pytest.raises(ContractError, match="swept.*rebuild the forward"):
+            ad.backward(again)
+        np.testing.assert_allclose(x.grad, [[12.0]])
+        assert w._grad is None
 
 
 def test_backward_rejects_non_scalar():

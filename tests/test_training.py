@@ -893,10 +893,11 @@ def test_the_batch_objective_is_one_node(tiny_dataset, monkeypatch, aggregator):
     assert all(p._parents == () and p._backward is None for p in parts[:3])
 
 
-def _default_batch_total(aggregator: str, model: PlaceModel | None = None) -> ad.Tensor:
+def _default_batch_total(aggregator: str, model: PlaceModel | None = None,
+                         dataset: tokens.TokenDataset | None = None) -> ad.Tensor:
     """The total of a default-config training batch of 16 anchors, of a
-    fresh model unless one is given."""
-    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    fresh model and dataset unless they are given."""
+    dataset = dataset or tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = model or PlaceModel(ModelConfig(aggregator=aggregator), seed=0)
     settings = training.TrainSettings()
     geos = [ref.geo for ref in dataset.aerial]
@@ -924,10 +925,23 @@ def test_default_training_batch_tape_stays_small(aggregator, bound):
 def test_no_two_gradients_of_a_default_training_batch_share_memory():
     """Each node and parameter owns its gradient, though the head hands its
     blocks rows of one array: a sweep may pass a fresh array on only if no
-    other node holds it."""
+    other node holds it. A node's gradient is recorded as its sweep receives
+    it, since backward frees it after the sweep."""
     total = _default_batch_total("ode-vlaq")
+    tape, grads = _tape(total), []
+    leaves = [node for node in tape if node._backward is None]
+
+    def recording(sweep):
+        def run(node):
+            grads.append(node._grad)
+            sweep(node)
+        return run
+
+    for node in tape:
+        if node._backward is not None:
+            node._backward = recording(node._backward)
     ad.backward(total)
-    grads = [node._grad for node in _tape(total) if node._grad is not None]
+    grads = [g for g in grads + [node._grad for node in leaves] if g is not None]
     assert len(grads) > 40
     for i, a in enumerate(grads):
         for b in grads[i + 1 :]:
@@ -937,9 +951,11 @@ def test_no_two_gradients_of_a_default_training_batch_share_memory():
 def test_backward_of_a_default_training_batch_copies_no_fresh_gradient():
     """A sweep hands the array it made for one parent over without a copy, so
     backward of a default ode-vlaq batch allocates at most 4 MiB beyond the
-    gradients it leaves. Copying the head's 16 MiB weight gradient breaks
+    gradients it leaves; the model stays alive, as in training, so those are
+    the parameter gradients. Copying the head's 16 MiB weight gradient breaks
     this: that array would be held twice."""
-    total = _default_batch_total("ode-vlaq")
+    model = PlaceModel(ModelConfig(), seed=0)
+    total = _default_batch_total("ode-vlaq", model)
     tracemalloc.start()
     try:
         ad.backward(total)
@@ -947,6 +963,25 @@ def test_backward_of_a_default_training_batch_copies_no_fresh_gradient():
     finally:
         tracemalloc.stop()
     assert peak - held <= 4 * 2**20, (held, peak)
+
+
+def test_backward_of_a_default_training_batch_frees_its_graph():
+    """Once swept, a batch's graph holds no saved forward state and no
+    interior gradient: with the model and the loss still referenced, forward
+    and backward leave under 1 MiB traced beyond the parameter gradients
+    (a graph kept whole after its sweep holds 27 MiB)."""
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(), seed=0)
+    tracemalloc.start()
+    try:
+        total = _default_batch_total("ode-vlaq", model, dataset)
+        ad.backward(total)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grads = sum(p._grad.nbytes for _, p in model.store.items() if p._grad is not None)
+    assert total.value.size == 1 and grads > 16 * 2**20
+    assert held - grads < 2**20, (held, grads)
 
 
 def test_a_default_batch_sweeps_each_ground_projection_back_in_layer_norm_blocks(monkeypatch):
