@@ -88,15 +88,22 @@ class Tensor:
     def grad(self) -> np.ndarray:
         if self._grad is None:
             self._grad = np.zeros_like(self.value)
+        elif isinstance(self._grad, tuple):
+            self._grad = self._grad[0].T @ self._grad[1]
         return self._grad
 
     def accumulate_grad(self, g, fresh: bool = False) -> None:
         """Add g, of this node's shape, into the gradient. A first g is copied
         unless ``fresh`` says the sweep made it for this node alone (not handed
-        to another node, not a view): a C-contiguous g of this dtype is adopted."""
+        to another node, not a view): a C-contiguous g of this dtype is adopted.
+        A pair (x, y) of 2-D arrays of this dtype stands for x.T @ y: a first
+        one is held (its factors must not change) until ``.grad`` forms it or
+        ``training.adam_step`` forms it by row blocks; a second makes it dense."""
         if self._grad is not None:
-            self._grad += g
-        elif fresh and g.flags.c_contiguous and g.dtype == self.value.dtype:
+            grad = self.grad
+            grad += g[0].T @ g[1] if isinstance(g, tuple) else g
+        elif isinstance(g, tuple) or (
+                fresh and g.flags.c_contiguous and g.dtype == self.value.dtype):
             self._grad = g
         else:
             self._grad = np.array(g, dtype=self.value.dtype, copy=True)

@@ -60,6 +60,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         self.model_config().validate()
         self.train_settings().validate()
         self.synth_config().validate()

@@ -231,41 +231,57 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     """One bias-corrected Adam update over every parameter in the store.
 
     All gradients are validated before any parameter moves, so a divergent
-    batch leaves the store at its last finite state. The update runs block
-    by block over flat views of the store's C-contiguous arrays, which does
-    not change its bits. A parameter without a gradient is updated as if its
-    gradient were zero, without building one. Gradients are cleared after
-    the update. A store loaded without its moments raises ContractError.
+    batch leaves the store at its last finite state. A gradient held as the
+    factors of x.T @ g (``Tensor.accumulate_grad``) passes if len(x) * max|x|
+    * max|g| is at most half the dtype's largest value, which bounds every
+    partial sum and its rounding, and is then formed a block of whole rows
+    at a time in the block scratch; else, or if a block would be one row, it
+    is made dense and checked. The update runs block by block over flat
+    views of the store's C-contiguous arrays, which does not change its bits.
+    A parameter without a gradient is updated as if its gradient were zero,
+    without building one. Gradients are cleared after the update. A store
+    loaded without its moments raises ContractError.
     """
     if any(m is None for m in store.first_moment.values()):
         raise ContractError("the store was loaded without its Adam moments; it cannot step")
+    steps = {}  # elements per block: a held gradient's are whole rows
     for name, p in store.items():
-        if p._grad is not None and not magt.all_finite(p._grad):
+        held = p._grad if isinstance(p._grad, tuple) else ()
+        top = [float(max(f.max(initial=0), -f.min(initial=0))) for f in held]
+        rows = max(1, ADAM_BLOCK // p.value.shape[1]) if held else 0
+        # numpy sends a one-row block to gemv, whose sums may round unlike gemm's
+        keep = held and min(rows, len(p.value) % rows or rows) > 1 and (
+            len(held[0]) * top[0] * top[1] <= np.finfo(p.value.dtype).max / 2)
+        if p._grad is not None and not keep and not magt.all_finite(p.grad):
             raise DivergenceError(f"non-finite gradient in parameter {name!r}")
+        steps[name] = rows * p.value.shape[1] if keep else ADAM_BLOCK
     store.step += 1
     t = store.step
     correct1 = 1.0 - beta1**t
     correct2 = 1.0 - beta2**t
     # one buffer for the whole step holds the two block scratches of each parameter
-    raw = np.empty(max((2 * min(p.value.size, ADAM_BLOCK) * p.value.itemsize
-                        for _, p in store.items()), default=0), dtype=np.uint8)
+    raw = np.empty(max((2 * min(p.value.size, steps[name]) * p.value.itemsize
+                        for name, p in store.items()), default=0), dtype=np.uint8)
     for name, p in store.items():
         grad, first, second = p._grad, store.first_moment[name], store.second_moment[name]
-        flat_g = None if grad is None else grad.reshape(-1)
+        step, block = steps[name], min(p.value.size, steps[name])
         flat = [arr.reshape(-1) for arr in (first, second, p.value)]
-        block = min(p.value.size, ADAM_BLOCK)
         scratch = raw[: 2 * block * p.value.itemsize].view(p.value.dtype).reshape(2, block)
-        for start in range(0, p.value.size, ADAM_BLOCK):
-            m, v, value = (arr[start : start + ADAM_BLOCK] for arr in flat)
+        for start in range(0, p.value.size, step):
+            m, v, value = (arr[start : start + step] for arr in flat)
             a, b = scratch[:, : m.size]
-            if flat_g is None:
+            if grad is None:
                 # a zero gradient's +0.0 terms turn each -0.0 moment into +0.0
                 m *= beta1
                 m += 0.0
                 v *= beta2
                 v += 0.0
             else:
-                g = flat_g[start : start + ADAM_BLOCK]
+                if isinstance(grad, tuple):  # b holds these rows of x.T @ g until reused
+                    out = b.reshape(-1, p.value.shape[1])
+                    x = grad[0][:, start // out.shape[1] :][:, : len(out)]
+                    np.matmul(x.T, grad[1], out=out)
+                g = b if isinstance(grad, tuple) else grad.reshape(-1)[start : start + step]
                 np.multiply(g, 1.0 - beta1, out=a)
                 m *= beta1
                 m += a

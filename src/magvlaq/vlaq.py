@@ -127,7 +127,7 @@ def head(blocks: Sequence[ad.Tensor], proj_w: ad.Tensor) -> ad.Tensor:
     def bw(node):
         g = ad.normalize_rows_backward(node.grad, *rows).astype(projected.dtype)
         g_x = g @ w.T
-        proj_w.accumulate_grad(x.T @ g, fresh=True)
+        proj_w.accumulate_grad((x, g))  # held as its factors until read
         for block, stop in zip(blocks, itertools.accumulate(len(b.value) for b in blocks)):
             block.accumulate_grad(g_x[stop - len(block.value) : stop])
 

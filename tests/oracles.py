@@ -877,7 +877,7 @@ def adam_step(store: ParamStore, lr: float, beta1: float = 0.9,
     after the update.
     """
     for name, p in store.items():
-        if p._grad is not None and not np.isfinite(p._grad).all():
+        if not np.isfinite(p.grad).all():
             raise DivergenceError(f"non-finite gradient in parameter {name!r}")
     store.step += 1
     t = store.step

@@ -115,6 +115,51 @@ def test_backward_refuses_a_swept_graph_before_any_leaf_gradient_moves():
         assert w._grad is None
 
 
+def _factors(dtype, cols, rows=8192, n=80, seed=0):
+    """The factors x (n x rows) and g (n x cols) of a held gradient x.T @ g."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, rows)).astype(dtype),
+            rng.standard_normal((n, cols)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype,cols,rows,n", [
+    (np.float32, 512, 8192, 80), (np.float64, 512, 8192, 80),
+    (np.float32, 300, 700, 80), (np.float64, 300, 700, 80), (np.float32, 512, 8192, 41),
+])
+def test_a_held_gradient_reads_as_its_product_bit_for_bit(dtype, cols, rows, n):
+    """A first pair (x, g) is held as it is, not formed; ``.grad`` then forms
+    x.T @ g once, with the one-call product's bits: at the head's shape, at
+    a width that does not divide ADAM_BLOCK and at a ragged row count."""
+    x, g = _factors(dtype, cols, rows, n)
+    w = ad.Tensor(np.zeros((rows, cols), dtype))
+    w.accumulate_grad((x, g))
+    assert w._grad[0] is x and w._grad[1] is g
+    assert w.grad.tobytes() == (x.T @ g).tobytes()
+    assert w.grad is w._grad and w.grad.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_accumulating_onto_a_held_gradient_or_a_held_one_onto_a_dense_gives_the_dense_sums(dtype):
+    """Dense then product, product then dense and product then product give,
+    bit for bit, the sums of the dense products in arrival order; the dense
+    gradient handed in is never written."""
+    (x, g), (y, h) = _factors(dtype, 512, seed=1), _factors(dtype, 512, n=37, seed=2)
+    d = np.random.default_rng(3).standard_normal((8192, 512)).astype(dtype)
+    before = d.copy()
+    cases = {"dense, product": ([d, (x, g)], [d, x.T @ g]),
+             "product, dense": ([(x, g), d], [x.T @ g, d]),
+             "product, product": ([(x, g), (y, h)], [x.T @ g, y.T @ h])}
+    for case, (parts, dense) in cases.items():
+        w = ad.Tensor(np.zeros((8192, 512), dtype))
+        for part in parts:
+            w.accumulate_grad(part)
+        want = dense[0].copy()
+        want += dense[1]
+        assert w.grad.tobytes() == want.tobytes(), case
+        assert not np.shares_memory(w.grad, d)
+    assert d.tobytes() == before.tobytes()
+
+
 def test_backward_rejects_non_scalar():
     x = ad.Tensor(np.ones((2, 2)))
     with pytest.raises(ContractError, match="scalar"):

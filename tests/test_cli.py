@@ -490,6 +490,30 @@ def test_bad_recall_cutoffs_in_config_exit_2_before_training(tmp_path, capsys, k
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("generate", ["--seed", "-1"]),
+    ("train", ["--seed", "-5"]),
+    ("train", ["--config", "negative-seed.json"]),
+], ids=["generate-flag", "train-flag", "config-file"])
+def test_a_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, flags):
+    (tmp_path / "negative-seed.json").write_text(json.dumps({**TINY, "seed": -3}))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    rc = cli.main([command, *flags, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_checkpoint_whose_run_config_has_a_negative_seed_exits_2(trained, tmp_path,
+                                                                  capsys):
+    (entry,) = magt.read_container(trained / "checkpoint.magt")
+    entry.meta["run_config"]["seed"] = -3
+    path = tmp_path / "negative-seed.magt"
+    magt.write_container([entry], path)
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_files_exit_3(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "none.magt")]) == 3
     assert cli.main(["inspect", str(tmp_path / "none.magt")]) == 3

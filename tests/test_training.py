@@ -894,16 +894,17 @@ def test_the_batch_objective_is_one_node(tiny_dataset, monkeypatch, aggregator):
 
 
 def _default_batch_total(aggregator: str, model: PlaceModel | None = None,
-                         dataset: tokens.TokenDataset | None = None) -> ad.Tensor:
-    """The total of a default-config training batch of 16 anchors, of a
-    fresh model and dataset unless they are given."""
+                         dataset: tokens.TokenDataset | None = None,
+                         size: int = 16) -> ad.Tensor:
+    """The total of a default-config training batch of ``size`` anchors, of
+    a fresh model and dataset unless they are given."""
     dataset = dataset or tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = model or PlaceModel(ModelConfig(aggregator=aggregator), seed=0)
     settings = training.TrainSettings()
     geos = [ref.geo for ref in dataset.aerial]
-    anchors = dataset.split_ground("train")[: settings.batch_size]
+    anchors = dataset.split_ground("train")[:size]
     mined = [training.mine_pairs(obs.geo, geos, settings.thresholds) for obs in anchors]
-    assert len(anchors) == 16
+    assert len(anchors) == size <= settings.batch_size
     return training.batch_loss(
         model, anchors, [dataset.aerial[pos[0]] for pos, _ in mined],
         [dataset.aerial[neg[0]] for _, neg in mined], settings,
@@ -926,7 +927,8 @@ def test_no_two_gradients_of_a_default_training_batch_share_memory():
     """Each node and parameter owns its gradient, though the head hands its
     blocks rows of one array: a sweep may pass a fresh array on only if no
     other node holds it. A node's gradient is recorded as its sweep receives
-    it, since backward frees it after the sweep."""
+    it, since backward frees it after the sweep. The head weight's gradient
+    is held as its two factors, and each is checked as a gradient."""
     total = _default_batch_total("ode-vlaq")
     tape, grads = _tape(total), []
     leaves = [node for node in tape if node._backward is None]
@@ -943,6 +945,8 @@ def test_no_two_gradients_of_a_default_training_batch_share_memory():
     ad.backward(total)
     grads = [g for g in grads + [node._grad for node in leaves] if g is not None]
     assert len(grads) > 40
+    # a gradient held as the factors of x.T @ g shares memory through them
+    grads = [a for g in grads for a in (g if isinstance(g, tuple) else (g,))]
     for i, a in enumerate(grads):
         for b in grads[i + 1 :]:
             assert not np.shares_memory(a, b)
@@ -952,8 +956,10 @@ def test_backward_of_a_default_training_batch_copies_no_fresh_gradient():
     """A sweep hands the array it made for one parent over without a copy, so
     backward of a default ode-vlaq batch allocates at most 4 MiB beyond the
     gradients it leaves; the model stays alive, as in training, so those are
-    the parameter gradients. Copying the head's 16 MiB weight gradient breaks
-    this: that array would be held twice."""
+    the parameter gradients. The head weight's gradient is held as its
+    factors, so no fresh gradient left is large enough for a copy to show
+    here (2.95 MiB with every one copied, 2.89 without): the next test
+    checks the adoption itself."""
     model = PlaceModel(ModelConfig(), seed=0)
     total = _default_batch_total("ode-vlaq", model)
     tracemalloc.start()
@@ -965,11 +971,38 @@ def test_backward_of_a_default_training_batch_copies_no_fresh_gradient():
     assert peak - held <= 4 * 2**20, (held, peak)
 
 
+def test_backward_of_a_default_training_batch_adopts_each_fresh_parameter_gradient(
+        monkeypatch):
+    """Each parameter whose first gradient a sweep made for it alone (fresh,
+    C-contiguous, of its dtype) holds that very array after backward, and
+    the head weight holds its pair of factors as it was handed over."""
+    model = PlaceModel(ModelConfig(), seed=0)
+    total = _default_batch_total("ode-vlaq", model)
+    params, first = {id(p) for _, p in model.store.items()}, {}
+    accumulate = ad.Tensor.accumulate_grad
+
+    def recording(node, g, fresh=False):
+        if id(node) in params and node._grad is None:
+            first[id(node)] = g if isinstance(g, tuple) or (
+                fresh and g.flags.c_contiguous and g.dtype == node.value.dtype) else None
+        accumulate(node, g, fresh)
+
+    monkeypatch.setattr(ad.Tensor, "accumulate_grad", recording)
+    ad.backward(total)
+    adopted = [p for _, p in model.store.items() if first.get(id(p)) is not None]
+    assert len(adopted) > 10 and isinstance(first[id(model.agg_proj)], tuple)
+    for p in adopted:
+        assert p._grad is first[id(p)]
+
+
 def test_backward_of_a_default_training_batch_frees_its_graph():
     """Once swept, a batch's graph holds no saved forward state and no
     interior gradient: with the model and the loss still referenced, forward
     and backward leave under 1 MiB traced beyond the parameter gradients
-    (a graph kept whole after its sweep holds 27 MiB)."""
+    (a graph kept whole after its sweep holds 27 MiB). The head weight's
+    gradient is held as its factors, the stacked pre-head rows and the
+    projected rows' gradient, which count as gradient bytes: all gradients
+    come to under 6 MiB, where the formed 16 MiB product alone was more."""
     dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
     model = PlaceModel(ModelConfig(), seed=0)
     tracemalloc.start()
@@ -979,9 +1012,170 @@ def test_backward_of_a_default_training_batch_frees_its_graph():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    grads = sum(p._grad.nbytes for _, p in model.store.items() if p._grad is not None)
-    assert total.value.size == 1 and grads > 16 * 2**20
+    grads = sum(a.nbytes for _, p in model.store.items() if p._grad is not None
+                for a in (p._grad if isinstance(p._grad, tuple) else (p._grad,)))
+    assert isinstance(model.agg_proj._grad, tuple)
+    assert total.value.size == 1 and grads < 6 * 2**20, grads
     assert held - grads < 2**20, (held, grads)
+
+
+def _twin(store: ParamStore) -> ParamStore:
+    """A store with the values, moments, step and gradients of ``store``: a
+    held gradient is held by both, a dense one copied."""
+    twin = ParamStore()
+    for name, p in store.items():
+        _add(twin, name, p.value)
+        twin.first_moment[name][...] = store.first_moment[name]
+        twin.second_moment[name][...] = store.second_moment[name]
+        if p._grad is not None:
+            twin[name].accumulate_grad(p._grad)
+    twin.step = store.step
+    return twin
+
+
+def _assert_same_stores(fast: ParamStore, slow: ParamStore) -> None:
+    assert fast.step == slow.step
+    for name in fast.names():
+        assert fast[name].value.tobytes() == slow[name].value.tobytes(), name
+        assert fast.first_moment[name].tobytes() == slow.first_moment[name].tobytes(), name
+        assert fast.second_moment[name].tobytes() == slow.second_moment[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype,size,out_dim", [
+    (np.float32, 16, 512), (np.float64, 16, 512), (np.float32, 11, 512), (np.float32, 16, 300),
+], ids=["default-float32", "default-float64", "11-anchors", "300-columns"])
+def test_adam_step_on_a_held_head_gradient_matches_the_oracle_on_the_dense_one(
+        dtype, size, out_dim):
+    """Two ode-vlaq batches, each swept back and stepped: adam_step on the
+    head weight's held gradient gives, bit for bit, the oracle's step on the
+    dense one (values, both moments, step count). Also for a ragged batch of
+    11 anchors and for a 300-column head, whose row blocks do not fill
+    ADAM_BLOCK. A float64 300-column head is the next test's."""
+    assert training.ADAM_BLOCK % 300
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(out_dim=out_dim), seed=0, dtype=dtype)
+    for _ in range(2):
+        ad.backward(_default_batch_total("ode-vlaq", model, dataset, size))
+        x, g = model.agg_proj._grad
+        assert x.shape == (len(g), 8192) and g.shape[1] == out_dim and len(g) > 3 * size
+        assert x.dtype == g.dtype == dtype
+        slow = _twin(model.store)
+        training.adam_step(model.store, lr=1e-3)
+        oracles.adam_step(slow, lr=1e-3)
+        _assert_same_stores(model.store, slow)
+
+
+def test_adam_step_forms_a_held_gradient_by_row_blocks_which_float64_may_round_apart():
+    """adam_step forms a held x.T @ g block by block, ADAM_BLOCK // cols rows
+    at a time, and its arithmetic on those blocks is the oracle's, bit for
+    bit. For a float64 head of 300 columns, OpenBLAS rounds some entries of
+    a row block unlike the same rows of the one-call product ``.grad`` reads
+    (in the last columns, 300 % 8 of them), so there the step matches the
+    oracle fed the row blocks, and the dense gradient only to 1e-15."""
+    dataset = tokens.generate_synthetic_dataset(tokens.SynthConfig(), 0)
+    model = PlaceModel(ModelConfig(out_dim=300), seed=0, dtype=np.float64)
+    ad.backward(_default_batch_total("ode-vlaq", model, dataset))
+    x, g = model.agg_proj._grad
+    rows = training.ADAM_BLOCK // 300
+    blocks = np.concatenate([x[:, r : r + rows].T @ g for r in range(0, x.shape[1], rows)])
+    np.testing.assert_allclose(blocks, x.T @ g, rtol=0, atol=1e-15)
+    slow = _twin(model.store)
+    slow["agg.proj.w"].zero_grad()
+    slow["agg.proj.w"].accumulate_grad(blocks)
+    training.adam_step(model.store, lr=1e-3)
+    oracles.adam_step(slow, lr=1e-3)
+    _assert_same_stores(model.store, slow)
+
+
+@pytest.mark.parametrize("shape", [(129, 512), (3, 40000)], ids=["one-row-tail", "wide"])
+def test_a_held_gradient_whose_row_blocks_include_one_row_steps_like_the_dense_one(shape):
+    """129 rows of 512 columns leave a one-row last block, and a row of
+    40000 columns is a block alone. numpy sends a one-row product to gemv,
+    which rounds unlike the whole product's gemm (431 of 512 entries of
+    that row differ at 80 factor rows), so such a gradient is made dense
+    first and the step is, bit for bit, the oracle's on ``.grad``."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((80, shape[0])).astype(np.float32)
+    g = rng.standard_normal((80, shape[1])).astype(np.float32)
+    fast = _store_holding(x, g)
+    slow = _twin(fast)
+    training.adam_step(fast, lr=1e-3)
+    oracles.adam_step(slow, lr=1e-3)
+    _assert_same_stores(fast, slow)
+
+
+def test_adam_step_on_a_held_head_gradient_allocates_under_1_mib():
+    """A held head gradient is formed a row block at a time in the step's
+    block scratch: the step stays under the bound of a dense default-model
+    step, where the formed product would be 16 MiB."""
+    model = PlaceModel(ModelConfig(), seed=0)
+    ad.backward(_default_batch_total("ode-vlaq", model))
+    assert isinstance(model.agg_proj._grad, tuple)
+    largest = max(p.value.nbytes for _, p in model.store.items())
+    tracemalloc.start()
+    try:
+        training.adam_step(model.store, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 2, (peak, largest)
+    assert peak < 2**20, peak
+
+
+def _store_holding(x: np.ndarray, g: np.ndarray) -> ParamStore:
+    """A store one step in, whose "w" holds x.T @ g as its factors and whose
+    "a.small", updated first, has a dense gradient."""
+    rng = np.random.default_rng(7)
+    store = ParamStore()
+    _add(store, "a.small", rng.standard_normal((2, 3)).astype(x.dtype))
+    _add(store, "w", rng.standard_normal((x.shape[1], g.shape[1])).astype(x.dtype))
+    for _, p in store.items():
+        p.accumulate_grad(rng.standard_normal(p.value.shape).astype(x.dtype))
+    training.adam_step(store, lr=0.1)
+    store["a.small"].accumulate_grad(rng.standard_normal((2, 3)).astype(x.dtype))
+    store["w"].accumulate_grad((x, g))
+    return store
+
+
+@pytest.mark.parametrize("case", ["nan-in-x", "inf-in-g", "float32-overflow"])
+def test_a_held_gradient_that_is_not_finite_raises_before_any_mutation(case):
+    """A NaN in x, an infinity in g, or finite factors whose float32 sums
+    overflow (six terms of 1e38): DivergenceError names the weight, and no
+    value, moment or step count moves."""
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((6, 5)).astype(np.float32)
+    g = rng.standard_normal((6, 7)).astype(np.float32)
+    if case == "nan-in-x":
+        x[2, 3] = np.nan
+    elif case == "inf-in-g":
+        g[4, 0] = np.inf
+    else:
+        x[...], g[...] = 1e19, 1e19
+    store = _store_holding(x, g)
+    before = {name: (p.value.tobytes(), store.first_moment[name].tobytes(),
+                     store.second_moment[name].tobytes()) for name, p in store.items()}
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="'w'"):
+        training.adam_step(store, lr=0.1)
+    assert store.step == 1
+    for name, p in store.items():
+        after = (p.value.tobytes(), store.first_moment[name].tobytes(),
+                 store.second_moment[name].tobytes())
+        assert after == before[name], name
+
+
+def test_a_finite_held_gradient_past_the_overflow_bound_steps_like_the_dense_one():
+    """Factors whose bound fails (2 * 2**63 * 2**63 is past half the float32
+    range) but whose large terms cancel exactly: the gradient is made dense,
+    found finite, and the step is the oracle's."""
+    x = np.array([[2.0**63, 2.0**-63], [-(2.0**63), 2.0**-62]], np.float32)
+    g = np.full((2, 3), 2.0**63, np.float32)
+    fast = _store_holding(x, g)
+    slow = _twin(fast)
+    training.adam_step(fast, lr=0.1)
+    oracles.adam_step(slow, lr=0.1)
+    _assert_same_stores(fast, slow)
+    assert all(np.isfinite(a).all() for a in (fast["w"].value, fast.second_moment["w"]))
 
 
 def test_a_default_batch_sweeps_each_ground_projection_back_in_layer_norm_blocks(monkeypatch):
