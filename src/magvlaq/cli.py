@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -122,10 +124,6 @@ def _build_config(args: argparse.Namespace) -> config_mod.RunConfig:
         name: getattr(args, name, None)
         for name in ("seed", "epochs", "aggregator", "alpha")
     }
-    if getattr(args, "k", None) is not None:
-        overrides["eval_ks"] = _parse_ks(args.k)
-    if getattr(args, "radius_m", None) is not None:
-        overrides["eval_radius"] = args.radius_m
     return config_mod.load_config(getattr(args, "config", None), **overrides)
 
 
@@ -184,6 +182,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     ks = _parse_ks(args.k)
+    for target in (args.out, args.heatmap):  # as write_container, before any output
+        if target and Path(target).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     run_config, model = load_checkpoint(args.checkpoint, moments=False)
     if args.radius_m is not None:
         run_config = dataclasses.replace(run_config, eval_radius=args.radius_m)

@@ -338,10 +338,11 @@ class PlaceModel:
 
     def _embed(self, items: Sequence, chunk_rows) -> np.ndarray:
         """Descriptors of items in input order, with no tape, each chunk through
-        ``chunk_rows`` and one head into its rows of the output. Up to EMBED_CHUNK
-        items are one chunk on the calling thread; a longer list goes through
-        ``retrieval.parallel_map`` in chunks of EMBED_CHUNK // 2, so two in flight
-        hold about what one full chunk does. The bytes do not depend on the thread count."""
+        ``chunk_rows`` and one head into its rows of the output. One
+        ``retrieval.parallel_map`` call runs the chunks: up to EMBED_CHUNK items
+        are one chunk, which it runs on the calling thread; a longer list is cut
+        into chunks of EMBED_CHUNK // 2, so two in flight hold about what one
+        full chunk does. The bytes do not depend on the thread count."""
         out = np.empty((len(items), self.config.out_dim), self.dtype)
         size = EMBED_CHUNK if len(items) <= EMBED_CHUNK else EMBED_CHUNK // 2
 
@@ -350,10 +351,7 @@ class PlaceModel:
                 chunk = items[start : start + size]
                 out[start : start + len(chunk)] = self.head([chunk_rows(chunk)]).value
 
-        if len(items) > EMBED_CHUNK:
-            retrieval.parallel_map(embed_chunk, range(0, len(items), size))
-        elif items:
-            embed_chunk(0)
+        retrieval.parallel_map(embed_chunk, range(0, len(items), size))
         return out
 
     def embed_ground(self, observations: Sequence[GroundObservation],

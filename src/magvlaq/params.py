@@ -95,23 +95,6 @@ def init_weight(store: ParamStore, name: str, fan_in: int, fan_out: int,
     return store.register(name, (fan_in, fan_out), dtype, draw)
 
 
-def init_linear(
-    store: ParamStore,
-    prefix: str,
-    fan_in: int,
-    fan_out: int,
-    rng: np.random.Generator | None,
-    zero: bool = False,
-    dtype=np.float32,
-) -> Layer:
-    """Register one (weight, bias) pair; weight std is 1/sqrt(fan_in)."""
-    if zero:
-        w = store.register(f"{prefix}.w", (fan_in, fan_out), dtype, None)
-    else:
-        w = init_weight(store, f"{prefix}.w", fan_in, fan_out, rng, dtype)
-    return w, store.register(f"{prefix}.b", (1, fan_out), dtype, None)
-
-
 def init_mlp(
     store: ParamStore,
     prefix: str,
@@ -122,24 +105,19 @@ def init_mlp(
 ) -> list[Layer]:
     """Register an MLP as consecutive layers ``prefix.0 .. prefix.{n-1}``.
 
-    ``widths`` lists the dimension chain [in, hidden..., out]. With
-    ``zero_final`` the last layer starts at zero so the net's output is
-    exactly zero at initialization.
+    ``widths`` lists the dimension chain [in, hidden..., out]. Each layer is
+    a ``prefix.i.w`` weight drawn as ``init_weight`` draws it, then a zero
+    ``prefix.i.b`` bias (1, out). With ``zero_final`` the last weight starts
+    at zero too, so the net's output is exactly zero at initialization.
     """
     if len(widths) < 2:
         raise ConfigurationError(f"{prefix}: an MLP needs at least [in, out] widths")
     layers = []
-    n = len(widths) - 1
-    for i in range(n):
-        layers.append(
-            init_linear(
-                store,
-                f"{prefix}.{i}",
-                widths[i],
-                widths[i + 1],
-                rng,
-                zero=zero_final and i == n - 1,
-                dtype=dtype,
-            )
-        )
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        name = f"{prefix}.{i}.w"
+        if zero_final and i == len(widths) - 2:
+            w = store.register(name, (fan_in, fan_out), dtype, None)
+        else:
+            w = init_weight(store, name, fan_in, fan_out, rng, dtype)
+        layers.append((w, store.register(f"{prefix}.{i}.b", (1, fan_out), dtype, None)))
     return layers

@@ -208,7 +208,10 @@ def recall_at_k(query_vecs: np.ndarray, query_geos: np.ndarray,
     A retrieved reference counts as correct iff its geo-distance to the
     query is at most ``radius`` meters. Queries with no in-radius reference
     at all cannot be answered correctly and are excluded from the
-    denominator; their count is reported instead of silently vanishing.
+    denominator; their count is reported instead of silently vanishing. Each
+    query's rank of its first correct reference in its top min(max(ks),
+    len(db)) is found once and compared with every cutoff; a database with
+    no reference answers no query, so every recall is NaN.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks or ks[0] < 1:
@@ -218,32 +221,21 @@ def recall_at_k(query_vecs: np.ndarray, query_geos: np.ndarray,
             f"query geos shape {query_geos.shape} does not match {query_vecs.shape[0]} queries"
         )
     k_max = min(max(ks), len(db))
-    indices, _ = knn_search(query_vecs, db, k_max)
-    geo_d = np.sqrt(
+    relevant = np.sqrt(
         ((query_geos[:, None, :] - db.geos[None, :, :]) ** 2).sum(axis=2)
-    )
-    relevant = geo_d <= radius
-
-    evaluated = 0
-    excluded = 0
-    hits = {k: 0 for k in ks}
-    for qi in range(query_vecs.shape[0]):
-        if not relevant[qi].any():
-            excluded += 1
-            continue
-        evaluated += 1
-        hit_ranks = relevant[qi, indices[qi]]
-        for k in ks:
-            if hit_ranks[: min(k, k_max)].any():
-                hits[k] += 1
-    recalls = {
-        k: (hits[k] / evaluated if evaluated else float("nan")) for k in ks
-    }
+    ) <= radius
+    # with no reference, relevant is (queries, 0) and there is nothing to search
+    hits = (np.take_along_axis(relevant, knn_search(query_vecs, db, k_max)[0], axis=1)
+            if k_max else relevant)
+    # a true column past the last rank makes a query with no hit rank k_max
+    first = np.hstack([hits, np.ones((len(hits), 1), bool)]).argmax(axis=1)
+    evaluated = int(relevant.any(axis=1).sum())
     return EvalReport(
-        recalls=recalls,
+        recalls={k: int((first < min(k, k_max)).sum()) / evaluated if evaluated
+                 else float("nan") for k in ks},
         num_queries=int(query_vecs.shape[0]),
         evaluated=evaluated,
-        excluded_no_relevant=excluded,
+        excluded_no_relevant=int(query_vecs.shape[0]) - evaluated,
         radius=float(radius),
     )
 

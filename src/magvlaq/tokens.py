@@ -33,10 +33,6 @@ class TokenSet:
     geo: tuple[float, float]
     scales: list[np.ndarray]
 
-    @property
-    def raw_dim(self) -> int:
-        return self.scales[0].shape[1] if self.scales else 0
-
 
 @dataclass
 class GroundObservation:

@@ -391,11 +391,11 @@ def recall_report(model: PlaceModel, queries: Sequence[GroundObservation],
     database of the embedded references."""
     db = retrieval.DescriptorDatabase(
         ids=[ref.id for ref in references],
-        geos=np.array([ref.geo for ref in references], dtype=np.float64),
+        geos=np.array([ref.geo for ref in references], np.float64).reshape(-1, 2),
         vectors=model.embed_aerial(references),
     )
     query_vecs = model.embed_ground(queries, mask=mask)
-    query_geos = np.array([obs.geo for obs in queries], dtype=np.float64)
+    query_geos = np.array([obs.geo for obs in queries], np.float64).reshape(-1, 2)
     return retrieval.recall_at_k(query_vecs, query_geos, db, ks=ks, radius=radius)
 
 
@@ -403,8 +403,5 @@ def evaluate_recall(model: PlaceModel, dataset: TokenDataset,
                     settings: TrainSettings, split: str = "test",
                     mask: str = "both") -> dict[int, float]:
     """Recall@K of the given split's queries against the full reference set."""
-    queries = dataset.split_ground(split)
-    if not queries or not dataset.aerial:
-        return {k: float("nan") for k in settings.eval_ks}
-    return recall_report(model, queries, dataset.aerial, settings.eval_ks,
+    return recall_report(model, dataset.split_ground(split), dataset.aerial, settings.eval_ks,
                          settings.eval_radius, mask).recalls

@@ -919,3 +919,44 @@ def knn_search(query_vecs: np.ndarray, db: retrieval.DescriptorDatabase,
         indices[qi] = order
         out_d[qi] = dists[qi, order]
     return indices, out_d
+
+
+# Recall as a loop over queries and cutoffs, as it was scored before
+# retrieval.recall_at_k found each query's first-hit rank in array form. The
+# two must give equal reports; an empty database skips the search here too.
+
+
+def recall_at_k(query_vecs: np.ndarray, query_geos: np.ndarray,
+                db: retrieval.DescriptorDatabase, ks: Sequence[int] = (1, 5, 10),
+                radius: float = 25.0) -> retrieval.EvalReport:
+    ks = sorted(set(int(k) for k in ks))
+    if not ks or ks[0] < 1:
+        raise ContractError(f"recall cutoffs must be positive, got {ks}")
+    if query_geos.shape != (query_vecs.shape[0], 2):
+        raise DimensionError(f"query geos shape {query_geos.shape} does not match")
+    k_max = min(max(ks), len(db))
+    if k_max:
+        indices, _ = retrieval.knn_search(query_vecs, db, k_max)
+    geo_d = np.sqrt(((query_geos[:, None, :] - db.geos[None, :, :]) ** 2).sum(axis=2))
+    relevant = geo_d <= radius
+
+    evaluated = 0
+    excluded = 0
+    hits = {k: 0 for k in ks}
+    for qi in range(query_vecs.shape[0]):
+        if not relevant[qi].any():
+            excluded += 1
+            continue
+        evaluated += 1
+        hit_ranks = relevant[qi, indices[qi]]
+        for k in ks:
+            if hit_ranks[: min(k, k_max)].any():
+                hits[k] += 1
+    recalls = {k: (hits[k] / evaluated if evaluated else float("nan")) for k in ks}
+    return retrieval.EvalReport(
+        recalls=recalls,
+        num_queries=int(query_vecs.shape[0]),
+        evaluated=evaluated,
+        excluded_no_relevant=excluded,
+        radius=float(radius),
+    )

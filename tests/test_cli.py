@@ -349,6 +349,39 @@ def test_eval_heatmap_of_a_pooling_checkpoint_exits_2_before_any_output(tmp_path
     assert not report_path.exists() and not (tmp_path / "heat.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--heatmap"])
+def test_eval_into_a_directory_exits_3_before_loading_or_output(trained, tmp_path, capsys,
+                                                                monkeypatch, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    monkeypatch.setattr(PlaceModel, "embed_ground", refuse)
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   flag, str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == "" and "Is a directory" in captured.err
+
+
+def test_eval_of_a_token_file_with_no_aerial_reference_reports_null(trained, tmp_path,
+                                                                     capsys):
+    cfg = config.config_from_mapping(dict(TINY))
+    full = tokens.generate_synthetic_dataset(cfg.synth_config(), cfg.seed)
+    test_only = tokens.TokenDataset(ground=full.split_ground("test"), aerial=[])
+    data = tmp_path / "no-aerial.magt"
+    tokens.save_token_file(test_only, data, tau_p=cfg.tau_p)
+    rc = cli.main(["eval", "--checkpoint", str(trained / "checkpoint.magt"),
+                   "--data", str(data), "--k", "1,5"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    report = json.loads(captured.out)
+    n = len(test_only.ground)
+    assert n > 0 and report["num_queries"] == n
+    assert report["evaluated"] == 0 and report["excluded_no_relevant"] == n
+    assert report["recalls"] == {"1": None, "5": None}
+
+
 def test_eval_accepts_external_dataset_file(tiny_config_path, trained,
                                             tmp_path, capsys):
     data = tmp_path / "tiny.magt"

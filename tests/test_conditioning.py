@@ -66,15 +66,28 @@ FRESH_SEED_7 = {
 }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("aggregator", ["ode-vlaq", "pooling"])
-def test_fresh_default_model_draws_the_same_weights_as_always(aggregator, dtype):
-    store = PlaceModel(ModelConfig(aggregator=aggregator), seed=7, dtype=dtype).store
+# the same digest of PlaceModel(ModelConfig(), seed=0), the CLI's default model
+FRESH_SEED_0 = "65457c729dcc83cdcf19f1ebb5ca1e858358ab578c9cddd3378c3ba9b91467de"
+
+
+def _store_digest(store: params.ParamStore) -> str:
     digest = hashlib.sha256()
     for name, p in store.items():
         digest.update(name.encode())
         digest.update(p.value.tobytes())
-    assert digest.hexdigest() == FRESH_SEED_7[dtype]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("aggregator", ["ode-vlaq", "pooling"])
+def test_fresh_default_model_draws_the_same_weights_as_always(aggregator, dtype):
+    store = PlaceModel(ModelConfig(aggregator=aggregator), seed=7, dtype=dtype).store
+    assert _store_digest(store) == FRESH_SEED_7[dtype]
+
+
+def test_fresh_default_model_at_seed_0_draws_the_same_weights_as_always():
+    """Names, shapes, dtype and the order of every MLP layer's draws are pinned."""
+    assert _store_digest(PlaceModel(ModelConfig(), seed=0).store) == FRESH_SEED_0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -230,6 +230,32 @@ def test_recall_k_larger_than_database_is_clamped():
     assert report.recalls[10] == 1.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), nq=st.integers(0, 6), m=st.integers(0, 12), d=st.integers(1, 4))
+def test_array_recall_gives_the_report_of_the_loop_oracle(data, nq, m, d):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    # few descriptor levels tie many distances at the k-th rank; geos on a
+    # 20 m grid leave some queries with no in-radius reference
+    db = _db(rng.integers(-1, 2, size=(m, d)).astype(np.float32),
+             geos=20.0 * rng.integers(0, 4, size=(m, 2)),
+             ids=[f"r{i:03d}" for i in rng.permutation(m)])
+    q = rng.integers(-1, 2, size=(nq, d)).astype(np.float32)
+    q_geos = 20.0 * rng.integers(0, 4, size=(nq, 2))
+    ks = data.draw(st.lists(st.integers(1, 15), min_size=1, max_size=4))
+    radius = data.draw(st.sampled_from([0.0, 20.0, 25.0, 30.0]))
+    got = retrieval.recall_at_k(q, q_geos, db, ks=ks, radius=radius)
+    assert got.to_json() == oracles.recall_at_k(q, q_geos, db, ks=ks, radius=radius).to_json()
+
+
+@pytest.mark.parametrize("nq, m", [(3, 0), (0, 4), (0, 0)])
+def test_recall_without_references_or_queries_is_null(nq, m):
+    db = _db(np.eye(max(m, 1), 4, dtype=np.float32)[:m])
+    report = retrieval.recall_at_k(np.ones((nq, 4), np.float32), np.zeros((nq, 2)), db,
+                                   ks=(1, 5))
+    assert (report.num_queries, report.evaluated, report.excluded_no_relevant) == (nq, 0, nq)
+    assert json.loads(report.to_json())["recalls"] == {"1": None, "5": None}
+
+
 def test_recall_rejects_bad_cutoffs_and_geo_shape():
     db = _db(np.eye(2, dtype=np.float32))
     with pytest.raises(ContractError):

@@ -577,10 +577,12 @@ def test_train_epoch_skips_exactly_the_anchors_without_a_positive_or_a_negative(
 
 
 def test_evaluate_recall_reports_nan_without_queries(tiny_dataset):
-    ds = tokens.TokenDataset(ground=[], aerial=tiny_dataset.aerial)
     m = PlaceModel(MODEL, seed=3)
-    rec = training.evaluate_recall(m, ds, SETTINGS)
-    assert all(math.isnan(v) for v in rec.values())
+    for ds in (tokens.TokenDataset(ground=[], aerial=tiny_dataset.aerial),
+               tokens.TokenDataset(ground=tiny_dataset.ground, aerial=[])):
+        rec = training.evaluate_recall(m, ds, SETTINGS)
+        assert sorted(rec) == sorted(SETTINGS.eval_ks)
+        assert all(math.isnan(v) for v in rec.values())
 
 
 def test_embed_lists_match_individual_forwards(tiny_dataset):
@@ -640,8 +642,9 @@ LIST_SIZES = [1, EMBED_CHUNK, EMBED_CHUNK + 1, 2 * EMBED_CHUNK + 1]
 
 @pytest.mark.parametrize("n", LIST_SIZES)
 def test_embed_lists_run_one_head_per_chunk(tiny_dataset, monkeypatch, n):
-    """Up to EMBED_CHUNK items run one head on the calling thread; a longer
-    list runs one head per EMBED_CHUNK // 2 items through one parallel_map."""
+    """Every list goes through one parallel_map: up to EMBED_CHUNK items are
+    one chunk and one head, and a longer list runs one head per
+    EMBED_CHUNK // 2 items."""
     m = PlaceModel(MODEL, seed=3)
     heads, maps = [], []
     real_head, real_map = PlaceModel.head, retrieval.parallel_map
@@ -668,7 +671,7 @@ def test_embed_lists_run_one_head_per_chunk(tiny_dataset, monkeypatch, n):
         maps.clear()
         assert embed(items).shape == (n, MODEL.out_dim)
         if n <= EMBED_CHUNK:
-            assert heads == [n] and maps == []
+            assert heads == [n] and maps == [1]
         else:
             chunks = math.ceil(n / (EMBED_CHUNK // 2))
             assert len(heads) == chunks and sum(heads) == n and maps == [chunks]
